@@ -25,7 +25,6 @@ from .ecd import (
     BathSpec,
     DepositState,
     PulsePlan,
-    duty_cycle,
     faraday_growth_rate,
     sand_time,
     simulate_diffusion,
@@ -77,7 +76,6 @@ __all__ = [
     "classify_carrier",
     "compare_designs",
     "cu_ni_design",
-    "duty_cycle",
     "efficiency_factor",
     "evaluate",
     "faraday_growth_rate",

@@ -2,12 +2,14 @@
 
 All config values carry their unit as a key suffix (leg_length_um,
 j_pulse_mA_cm2, ...) and are converted to SI on load. Unknown keys are
-rejected, and every diagnostic names the offending field path. Defaults are
+rejected, numbers must be finite (JSON NaN and Infinity are refused), and
+every diagnostic names the offending field path. Defaults are
 applied only where documented: device_area_cm2 (1 cm2), the bath transport
 block (diffusivity and the Bi2Te3 bulk data), and record_every.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -75,6 +77,8 @@ def _number(obj: dict, key: str, path: str, default=None):
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigFieldError("expected a number", f"{path}.{key}")
+    if not math.isfinite(value):
+        raise ConfigFieldError(f"must be finite, got {value!r}", f"{path}.{key}")
     return float(value)
 
 

@@ -8,7 +8,7 @@ the square of the applied temperature difference.
 """
 
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, sqrt
 
 from .errors import (
     CalibrationError,
@@ -40,18 +40,18 @@ class GeneratorDesign:
     interface_resistance: float  # K/W
 
     def __post_init__(self):
-        if not self.leg_length > 0:
-            raise InvariantError("leg_length must be > 0")
-        if not self.leg_area > 0:
-            raise InvariantError("leg_area must be > 0")
-        if not self.device_area > 0:
-            raise InvariantError("device_area must be > 0")
+        if not 0 < self.leg_length < inf:
+            raise InvariantError("leg_length must be finite and > 0")
+        if not 0 < self.leg_area < inf:
+            raise InvariantError("leg_area must be finite and > 0")
+        if not 0 < self.device_area < inf:
+            raise InvariantError("device_area must be finite and > 0")
         if not 0 < self.fill_factor <= 1:
             raise InvariantError("fill_factor must be in (0, 1]")
-        if self.contact_resistivity < 0:
-            raise InvariantError("contact_resistivity must be >= 0")
-        if self.interface_resistance < 0:
-            raise InvariantError("interface_resistance must be >= 0")
+        if not 0 <= self.contact_resistivity < inf:
+            raise InvariantError("contact_resistivity must be finite and >= 0")
+        if not 0 <= self.interface_resistance < inf:
+            raise InvariantError("interface_resistance must be finite and >= 0")
         if self.matrix_material.carrier != "insulator":
             raise InvariantError("matrix_material must be an insulator")
         # Leg slots are conventionally p (positive Seebeck) and n (negative),

@@ -1,6 +1,7 @@
 """Material records, the preset registry, and composition classification."""
 
 from dataclasses import dataclass, replace
+from math import inf
 
 from . import constants
 from .errors import InvariantError, ParameterError, UnknownMaterialError
@@ -31,10 +32,14 @@ class MaterialProps:
             raise InvariantError(
                 f"carrier must be one of {CARRIERS}, got {self.carrier!r}"
             )
-        if not self.resistivity > 0:
-            raise InvariantError(f"{self.name}: resistivity must be > 0")
-        if not self.thermal_conductivity > 0:
-            raise InvariantError(f"{self.name}: thermal_conductivity must be > 0")
+        if not -inf < self.seebeck < inf:
+            raise InvariantError(f"{self.name}: seebeck must be finite")
+        if not 0 < self.resistivity < inf:
+            raise InvariantError(f"{self.name}: resistivity must be finite and > 0")
+        if not 0 < self.thermal_conductivity < inf:
+            raise InvariantError(
+                f"{self.name}: thermal_conductivity must be finite and > 0"
+            )
         if self.carrier == "p" and not self.seebeck > 0:
             raise InvariantError(f"{self.name}: p-type requires seebeck > 0")
         if self.carrier == "n" and not self.seebeck < 0:

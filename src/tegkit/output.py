@@ -12,7 +12,7 @@ from pathlib import Path
 from .config import UW_CM2_TO_W_M2
 from .device import OperatingPoint
 from .ecd import DepositState
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 from .optimize import ComparisonTable, SweepCurve
 
 SWEEP_COLUMNS = [
@@ -71,13 +71,22 @@ def emit_comparison(table: ComparisonTable, path: str | Path) -> None:
 
 
 def emit_deposit_series(state: DepositState, path: str | Path) -> None:
-    handle, writer = _open_writer(path)
-    with handle:
-        writer.writerow(ECD_COLUMNS)
+    """Write the deposit time series as CSV, all rows in one call.
+
+    The cells hold no quote or separator characters, so joining them gives
+    the bytes csv.writer would write.
+    """
+    rows = (
+        f"{fmt(t)},{fmt(th)},{fmt(conc)}\n"
         for t, th, conc in zip(
-            state.times, state.thickness_series, state.surface_conc_series
-        ):
-            writer.writerow([fmt(t), fmt(th / 1e-6), fmt(conc)])
+            state.times.tolist(),
+            (state.thickness_series / 1e-6).tolist(),
+            state.surface_conc_series.tolist(),
+        )
+    )
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join(ECD_COLUMNS) + "\n")
+        handle.writelines(rows)
 
 
 def operating_point_dict(op: OperatingPoint) -> dict:
@@ -105,8 +114,15 @@ def run_report(
 
 
 def report_text(report: dict) -> str:
-    """Canonical serialization; identical inputs give identical bytes."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Canonical serialization; identical inputs give identical bytes.
+
+    Strict JSON: a NaN or infinite number raises NumericalError (CLI exit 2)
+    instead of reaching the report as a bare NaN or Infinity token.
+    """
+    try:
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalError(f"report holds a non-finite number: {exc}") from exc
 
 
 def write_report(report: dict, path: str | Path) -> None:

@@ -162,6 +162,23 @@ class TestEcdCommands:
         assert code == 2
         assert "deplet" in err
 
+    @pytest.mark.parametrize("section, key, value, field", [
+        ("pulse", "t_pulse_ms", 200.5, "t_pulse"),
+        ("pulse", "t_pause_s", 4.8005, "t_pause"),
+        ("pulse", "total_time_s", 25.0004, "total_time"),
+    ])
+    def test_time_off_the_step_grid_exits_1(self, capsys, tmp_path, section, key,
+                                            value, field):
+        doc = json.loads(Path(ECD).read_text())
+        doc["ecd"][section][key] = value  # not a whole number of 1 ms steps
+        bad = tmp_path / "off_grid.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "ecd", "simulate", "--config", str(bad),
+                             "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert out == ""
+        assert field in err and "dt" in err
+
     def test_sand_time_margin(self, capsys):
         code, out, _ = run(capsys, "ecd", "sand-time", "--config", ECD)
         assert code == 0
@@ -173,6 +190,24 @@ class TestEcdCommands:
         code, _, _ = run(capsys, "ecd", "simulate", "--config", ANNEALED,
                          "--out", str(tmp_path / "x.csv"))
         assert code == 1
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("key, value, token", [
+        ("interface_resistance_K_W", float("nan"), "NaN"),
+        ("leg_length_um", float("inf"), "Infinity"),
+    ])
+    def test_non_finite_design_field_exits_1(self, capsys, tmp_path, key, value,
+                                             token):
+        doc = json.loads(Path(ANNEALED).read_text())
+        doc["design"][key] = value
+        bad = tmp_path / "non_finite.json"
+        bad.write_text(json.dumps(doc))  # writes the bare NaN / Infinity token
+        assert token in bad.read_text()
+        code, out, err = run(capsys, "eval", "--config", str(bad), "--dt", "40")
+        assert code == 1
+        assert out == ""
+        assert key in err
 
 
 class TestUsage:

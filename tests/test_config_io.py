@@ -1,7 +1,9 @@
 import copy
 import csv
+import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,15 +24,17 @@ from tegkit.config import (
     parse_config_dict,
     parse_design,
 )
+from tegkit.ecd import DepositState
 from tegkit.errors import (
     ConfigFieldError,
     ConfigFileError,
     ConfigSyntaxError,
+    NumericalError,
     ParameterError,
 )
 from tegkit.materials import lookup_material
 from tegkit.optimize import sweep
-from tegkit.output import emit_curve
+from tegkit.output import emit_curve, emit_deposit_series, report_text
 
 MINIMAL = {
     "design": {
@@ -65,6 +69,14 @@ class TestDesignParsing:
         with pytest.raises(ConfigFieldError) as err:
             parse_config_dict(doc(leg_length_um=-5.0))
         assert "design.leg_length_um" in str(err.value)
+
+    @pytest.mark.parametrize("key", ["interface_resistance_K_W", "leg_length_um",
+                                     "contact_resistivity_ohm_cm2", "fill_factor"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_number_names_the_field(self, key, value):
+        with pytest.raises(ConfigFieldError) as err:
+            parse_config_dict(doc(**{key: value}))
+        assert f"design.{key}" in str(err.value)
 
     def test_unknown_key_is_rejected_and_named(self):
         with pytest.raises(ConfigFieldError) as err:
@@ -171,6 +183,17 @@ class TestEcdParsing:
         assert cfg.sim.mold_depth == pytest.approx(300e-6)
         assert cfg.sim.record_every == 1
 
+    @pytest.mark.parametrize("section, key", [
+        ("pulse", "t_pulse_ms"), ("pulse", "j_pulse_mA_cm2"), ("bath", "c_teo2_mol_m3"),
+        ("bath", "diffusivity_m2_s"), ("sim", "dt_s"), ("sim", "mold_depth_um")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_ecd_field_rejected(self, section, key, value):
+        bad = copy.deepcopy(ECD_DOC)
+        bad["ecd"][section][key] = value
+        with pytest.raises(ConfigFieldError) as err:
+            parse_config_dict(bad)
+        assert key in str(err.value)
+
     def test_fractional_grid_rejected(self):
         bad = copy.deepcopy(ECD_DOC)
         bad["ecd"]["sim"]["grid_points"] = 150.5
@@ -230,3 +253,37 @@ class TestCurveEmission:
             emit_curve(
                 type("C", (), {"points": (), "parameter": "leg_length"})(), "x.csv"
             )
+
+
+def series_state() -> DepositState:
+    """1207 records: a regular run plus zero, subnormal, huge and inexact cells."""
+    k = np.arange(1201)
+    extra = [0.0, 1e-300, 5e-324, 1.2345678901234567e300, 0.1, 1 / 3]
+    times = np.concatenate([k * 1e-3, extra])
+    thickness = np.concatenate([k * 3.3e-10 / 7.0, extra])
+    surface = np.concatenate([80.0 * (1 - (k % 97) / 131.0), extra])
+    empty = np.empty(0)
+    return DepositState(thickness=float(thickness[-1]), growth_rate=0.0,
+                        composition=None, min_surface_conc=float(surface.min()),
+                        depth=empty, profile=empty, times=times,
+                        thickness_series=thickness, surface_conc_series=surface)
+
+
+class TestDepositSeriesEmission:
+    # sha256 and size of the series_state() CSV as csv.writer wrote it
+    # (one writerow per record) before emission became a single write.
+    CAPTURED = ("9001cfa3d9e5fb6943daddc028044433cff9328757704ea67fe123c0ea450cd5",
+                67950)
+
+    def test_bytes_match_the_captured_csv_writer_output(self, tmp_path):
+        path = tmp_path / "series.csv"
+        emit_deposit_series(series_state(), path)
+        data = path.read_bytes()
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == self.CAPTURED
+
+
+class TestReportText:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_number_is_a_numerical_error(self, value):
+        with pytest.raises(NumericalError):
+            report_text({"outputs": {"p_matched": value}})

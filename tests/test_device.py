@@ -93,6 +93,12 @@ class TestDesignInvariants:
         with pytest.raises(InvariantError):
             make_design(k_if=-1.0)
 
+    @pytest.mark.parametrize("field", ["leg_length", "leg_area", "rho_c", "k_if"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_fields(self, field, value):
+        with pytest.raises(InvariantError):
+            make_design(**{field: value})
+
     def test_matrix_must_be_insulating(self):
         with pytest.raises(InvariantError):
             dataclasses.replace(

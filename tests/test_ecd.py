@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tegkit import constants
+from tegkit.config import parse_design
 from tegkit.ecd import (
     BathSpec,
     PulsePlan,
     diffusion_step,
-    duty_cycle,
     faraday_growth_rate,
     sand_time,
     simulate_diffusion,
@@ -48,14 +49,21 @@ class TestPulsePlan:
             PulsePlan(0.2, 4.8, 2325.0, 0.0)
 
     def test_duty_examples(self):
-        assert duty_cycle(plan(0.2, 4.8)) == pytest.approx(0.04, rel=1e-15)
-        assert duty_cycle(plan(0.2, 0.0)) == 1.0
-        assert duty_cycle(plan(1e-3, 5.0)) == pytest.approx(1 / 5001, rel=1e-12)
+        assert plan(0.2, 4.8).duty == pytest.approx(0.04, rel=1e-15)
+        assert plan(0.2, 0.0).duty == 1.0
+        assert plan(1e-3, 5.0).duty == pytest.approx(1 / 5001, rel=1e-12)
 
     @given(st.floats(1e-4, 10.0), st.floats(0.0, 10.0))
     def test_duty_is_a_fraction(self, t_pulse, t_pause):
-        d = duty_cycle(plan(t_pulse, t_pause))
+        d = plan(t_pulse, t_pause).duty
         assert 0 < d <= 1
+
+    @pytest.mark.parametrize("field", ["t_pulse", "t_pause", "j_pulse", "total_time"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_fields_rejected(self, field, value):
+        fields = dict(t_pulse=0.2, t_pause=4.8, j_pulse=2325.0, total_time=25.0)
+        with pytest.raises(InvariantError):
+            PulsePlan(**{**fields, field: value})
 
 
 class TestBathSpec:
@@ -70,6 +78,10 @@ class TestBathSpec:
             BathSpec(c_teo2=0.0)
         with pytest.raises(InvariantError):
             BathSpec(diffusivity=-1e-9)
+        with pytest.raises(InvariantError):
+            BathSpec(c_teo2=math.nan)
+        with pytest.raises(InvariantError):
+            BathSpec(diffusivity=math.inf)
 
 
 class TestFaradayGrowth:
@@ -307,3 +319,151 @@ class TestDiffusionStepCore:
         for _ in range(steps):
             p = diffusion_step(p, r, 1e-6, 1.0, 0.0, c0)
         assert np.all(p == c0)
+
+
+SHIPPED_ECD = Path(__file__).resolve().parent.parent / "configs" / "ecd_pulse_train.json"
+
+
+def step_growth(plan_, bath, dt):
+    """Deposit thickness one pulse-on step adds."""
+    return faraday_growth_rate(plan_.j_pulse, bath) * dt
+
+
+class TestIntegerSchedule:
+    def test_shipped_plan_gets_exactly_1000_pulse_steps(self):
+        cfg = parse_design(SHIPPED_ECD)
+        sim = cfg.sim
+        state = simulate_diffusion(sim.mold_depth, cfg.bath, cfg.pulse, sim.grid,
+                                   sim.dt, sim.record_every)
+        # 5 periods of 5000 steps, each with 200 pulse steps
+        expected = 1000 * step_growth(cfg.pulse, cfg.bath, sim.dt)
+        assert state.thickness == pytest.approx(expected, rel=1e-12)
+
+    def test_three_tenths_pulse_gets_exactly_300_steps(self):
+        # 0.3 s on / 0.7 s off at dt = 0.1 s for 100 s: 100 periods of
+        # 3 pulse steps. A float-modulo phase test miscounts this plan.
+        p = PulsePlan(t_pulse=0.3, t_pause=0.7, j_pulse=310.0, total_time=100.0)
+        state = simulate_diffusion(300e-6, BATH, p, 16, 0.1)
+        expected = 300 * step_growth(p, BATH, 0.1)
+        assert state.thickness == pytest.approx(expected, rel=1e-12)
+        assert state.growth_rate == pytest.approx(expected / 100.0, rel=1e-12)
+
+    @pytest.mark.parametrize("field, value", [
+        ("t_pulse", 0.25), ("t_pause", 0.75), ("total_time", 100.05)])
+    def test_time_off_the_step_grid_is_rejected(self, field, value):
+        fields = dict(t_pulse=0.3, t_pause=0.7, j_pulse=310.0, total_time=100.0)
+        p = PulsePlan(**{**fields, field: value})
+        with pytest.raises(ParameterError) as err:
+            simulate_diffusion(300e-6, BATH, p, 16, 0.1)
+        assert field in str(err.value)
+
+    def test_shorter_than_one_step_is_rejected(self):
+        with pytest.raises(ParameterError):
+            simulate_diffusion(300e-6, BATH, plan(t_pulse=0.04), 16, 0.1)
+
+
+def step_loop(depth, bath, plan_, grid, dt, record_every=1):
+    """Reference: the FTCS step loop on the integer pulse schedule.
+
+    Returns (times, thickness series, surface series, profile, min surface)
+    or, on depletion, the 1-based step at which the surface went negative.
+    """
+    n_on = round(plan_.t_pulse / dt)
+    n_period = n_on + round(plan_.t_pause / dt)
+    n_steps = round(plan_.total_time / dt)
+    dx = depth / (grid - 1)
+    r = bath.diffusivity * dt / (dx * dx)
+    consumption = plan_.j_pulse / (bath.electrons_per_formula * constants.FARADAY)
+    per_step = step_growth(plan_, bath, dt)
+    profile = np.full(grid, bath.c_teo2)
+    on_steps, min_surface = 0, bath.c_teo2
+    times, thickness, surface = [0.0], [0.0], [bath.c_teo2]
+    for k in range(1, n_steps + 1):
+        on = (k - 1) % n_period < n_on
+        profile = diffusion_step(profile, r, dx, dt, consumption if on else 0.0,
+                                 bath.c_teo2)
+        if profile[0] < 0:
+            return k
+        on_steps += on
+        min_surface = min(min_surface, profile[0])
+        if k % record_every == 0 or k == n_steps:
+            times.append(k * dt)
+            thickness.append(on_steps * per_step)
+            surface.append(profile[0])
+    return times, thickness, surface, profile, min_surface
+
+
+def r_half_dt(depth, grid, diffusivity):
+    """The largest stable step: D dt / dx^2 = 0.5, where modes near -1 live."""
+    dx = depth / (grid - 1)
+    return 0.5 * dx * dx / diffusivity
+
+
+_R_HALF = r_half_dt(300e-6, 31, BATH.diffusivity)
+# (grid, dt, n_on, n_off, n_steps, j_pulse A/m2, record_every)
+EQUIVALENCE_CASES = {
+    "cfl_limit_r_half": (31, _R_HALF, 3, 7, 2000, 800.0, 1),
+    "one_pulse_step": (41, 2e-3, 1, 9, 2500, 8000.0, 7),
+    "no_pause": (41, 2e-3, 50, 0, 1500, 150.0, 1),
+    "run_ends_mid_period": (61, 1e-3, 40, 160, 2130, 1500.0, 1),
+    "record_every_not_dividing_period": (61, 1e-3, 30, 97, 2000, 1500.0, 13),
+    "grid_16": (16, 0.1, 3, 7, 1000, 310.0, 1),
+    "long_sparse_record": (151, 1e-3, 200, 1300, 3000, 900.0, 250),
+}
+
+
+def equivalence_plan(n_on, n_off, n_steps, j_pulse, dt):
+    return PulsePlan(t_pulse=n_on * dt, t_pause=n_off * dt, j_pulse=j_pulse,
+                     total_time=n_steps * dt)
+
+
+class TestStepLoopEquivalence:
+    """The modal propagator against the FTCS step loop it replaces."""
+
+    TOL = 1e-10 * BATH.c_teo2
+
+    def assert_equivalent(self, grid, dt, p, record_every):
+        state = simulate_diffusion(300e-6, BATH, p, grid, dt, record_every)
+        times, thickness, surface, profile, min_surface = step_loop(
+            300e-6, BATH, p, grid, dt, record_every)
+        assert state.times.tolist() == times
+        np.testing.assert_allclose(state.thickness_series, thickness, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(state.surface_conc_series, surface, rtol=0, atol=self.TOL)
+        np.testing.assert_allclose(state.profile, profile, rtol=0, atol=self.TOL)
+        assert state.profile[-1] == BATH.c_teo2
+        assert abs(state.min_surface_conc - min_surface) <= self.TOL
+        assert state.thickness == state.thickness_series[-1]
+
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_matches_the_step_loop(self, case):
+        grid, dt, n_on, n_off, n_steps, j, record_every = EQUIVALENCE_CASES[case]
+        p = equivalence_plan(n_on, n_off, n_steps, j, dt)
+        self.assert_equivalent(grid, dt, p, record_every)
+
+    @settings(max_examples=25)
+    @given(st.integers(16, 40), st.floats(0.05, 1.0), st.integers(1, 60),
+           st.integers(0, 120), st.integers(1, 700), st.integers(1, 50),
+           st.floats(0.0, 1.0))
+    def test_matches_the_step_loop_on_random_schedules(
+            self, grid, r_fraction, n_on, n_off, n_steps, record_every, load):
+        dt = r_fraction * r_half_dt(300e-6, grid, BATH.diffusivity)
+        # up to a few times the Sand current of one pulse, so some deplete
+        sand_j = BATH.electrons_per_formula * constants.FARADAY * BATH.c_teo2 \
+            * math.sqrt(math.pi * BATH.diffusivity / (n_on * dt)) / 2
+        p = equivalence_plan(n_on, n_off, n_steps, 3 * load * sand_j, dt)
+        ref = step_loop(300e-6, BATH, p, grid, dt, record_every)
+        if isinstance(ref, int):
+            with pytest.raises(DepletionError) as err:
+                simulate_diffusion(300e-6, BATH, p, grid, dt, record_every)
+            assert abs(err.value.time_s - ref * dt) <= dt * (1 + 1e-9)
+        else:
+            self.assert_equivalent(grid, dt, p, record_every)
+
+    @pytest.mark.parametrize("grid, dt, n_on", [(31, _R_HALF, 400), (101, 1e-3, 300)])
+    def test_depletes_at_the_step_the_loop_does(self, grid, dt, n_on):
+        p = equivalence_plan(n_on, 100, 3 * (n_on + 100), 40_000.0, dt)
+        step = step_loop(300e-6, ION_BATH, p, grid, dt)
+        assert isinstance(step, int)
+        with pytest.raises(DepletionError) as err:
+            simulate_diffusion(300e-6, ION_BATH, p, grid, dt)
+        assert abs(err.value.time_s - step * dt) <= dt * (1 + 1e-9)

@@ -80,6 +80,13 @@ class TestMaterialInvariants:
         with pytest.raises(InvariantError):
             MaterialProps("bad", 1e-6, 1e14, 0.2, "insulator")
 
+    @pytest.mark.parametrize("args", [
+        (float("nan"), 1e-5, 1.0, "metal"), (float("inf"), 1e-5, 1.0, "p"),
+        (1e-4, float("inf"), 1.0, "p"), (1e-4, 1e-5, float("inf"), "p")])
+    def test_rejects_non_finite_properties(self, args):
+        with pytest.raises(InvariantError):
+            MaterialProps("bad", *args)
+
     def test_unknown_carrier_rejected(self):
         with pytest.raises(InvariantError):
             MaterialProps("bad", 1e-4, 1e-5, 1.0, "semimetal")
