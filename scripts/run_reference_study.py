@@ -48,7 +48,7 @@ def main() -> None:
         curve = sweep(design, dt, "leg_length", 10e-6, 1e-3, 60, spacing="log")
         emit_curve(curve, args.outdir / fname)
 
-    best = optimize_leg_length(annealed, dt, 10e-6, 1e-3, tol=0.01e-6)
+    best = optimize_leg_length(annealed, dt, 10e-6, 1e-3)
 
     table = compare_designs(
         {"cu_ni": cuni, "bi2te3_as_deposited": asdep, "bi2te3_annealed": annealed},

@@ -103,21 +103,16 @@ def _cmd_sweep(args, argv):
 
 def _cmd_optimize(args, argv):
     cfg = parse_design(args.config)
-    result = optimize_leg_length(cfg.design, args.dt, args.lo, args.hi, args.tol)
-    warnings = []
-    if result.grid_fallback:
-        warnings.append("unimodality pre-scan failed; dense-grid argmax returned")
+    result = optimize_leg_length(cfg.design, args.dt, args.lo, args.hi)
     report = run_report(
         "optimize",
         argv,
         {"config": args.config, "dt_meas_K": args.dt,
-         "bracket_si": [args.lo, args.hi], "tol_si": args.tol},
+         "bracket_si": [args.lo, args.hi]},
         {"best_leg_length_m": result.best_value,
          "best_leg_length_um": result.best_value / 1e-6,
          "iterations": result.iterations,
-         "grid_fallback": result.grid_fallback,
          "best_point": operating_point_dict(result.best_point)},
-        warnings,
     )
     if args.out:
         write_report(report, args.out)
@@ -254,7 +249,6 @@ def build_parser() -> _Parser:
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--from", dest="lo", type=float, required=True)
     p.add_argument("--to", dest="hi", type=float, required=True)
-    p.add_argument("--tol", type=float, default=0.1e-6, help="bracket tol, m")
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("compare", help="compare two or more designs")

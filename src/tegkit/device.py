@@ -109,8 +109,8 @@ def thermal_divider(dt_meas: float, r_gen: float, k_if: float) -> float:
     The measured difference divides between the generator body and the
     interface resistance: dt_gen = dt_meas * r_gen / (r_gen + k_if).
     """
-    if dt_meas < 0:
-        raise ParameterError("dt_meas must be >= 0")
+    if not 0 <= dt_meas < inf:
+        raise ParameterError("dt_meas must be finite and >= 0")
     if not r_gen > 0:
         raise DegenerateDesignError("r_gen must be > 0")
     if k_if < 0:
@@ -198,8 +198,8 @@ def efficiency_factor(power_density: float, dt_meas: float) -> float:
 
 def evaluate(design: GeneratorDesign, dt_meas: float) -> OperatingPoint:
     """Full model evaluation at one measured temperature difference."""
-    if dt_meas < 0:
-        raise ParameterError("dt_meas must be >= 0")
+    if not 0 <= dt_meas < inf:
+        raise ParameterError("dt_meas must be finite and >= 0")
     r_gen = generator_thermal_resistance(design)
     dt_gen = thermal_divider(dt_meas, r_gen, design.interface_resistance)
     v_oc = open_circuit_voltage(design, dt_gen)
@@ -231,10 +231,10 @@ def calibrate_seebeck(
     own Seebeck values are ignored; geometry, resistivities, and interfaces
     are taken as given.
     """
-    if not target_density > 0:
-        raise ParameterError("target_density must be > 0")
-    if not dt_meas > 0:
-        raise ParameterError("dt_meas must be > 0")
+    if not 0 < target_density < inf:
+        raise ParameterError("target_density must be finite and > 0")
+    if not 0 < dt_meas < inf:
+        raise ParameterError("dt_meas must be finite and > 0")
     n = design.couples
     if n < 1:
         raise CalibrationError(

@@ -1,12 +1,21 @@
-"""Parameter sweeps, leg-length optimization, and design comparison."""
+"""Parameter sweeps, leg-length optimization, and design comparison.
+
+Sweeps evaluate the model point by point; the leg-length optimum is closed
+form (see `optimize_leg_length`), with no search.
+"""
 
 from dataclasses import dataclass, replace
-from math import sqrt
+from math import inf, sqrt
 from typing import Mapping
 
 import numpy as np
 
-from .device import GeneratorDesign, OperatingPoint, evaluate
+from .device import (
+    GeneratorDesign,
+    OperatingPoint,
+    evaluate,
+    generator_thermal_resistance,
+)
 from .errors import ComparisonError, ParameterError, SweepError, TegkitError
 
 SWEEPABLE_PARAMETERS = (
@@ -16,13 +25,6 @@ SWEEPABLE_PARAMETERS = (
     "interface_resistance",
     "dt_meas",
 )
-
-_INV_PHI = (sqrt(5) - 1) / 2  # 1/phi, golden-section shrink factor
-
-#: Coarse pre-scan size used to certify unimodality before golden section.
-PRESCAN_POINTS = 64
-#: Grid size of the fallback argmax when the pre-scan rejects unimodality.
-FALLBACK_GRID = 10_000
 
 
 @dataclass(frozen=True)
@@ -41,9 +43,8 @@ class SweepCurve:
 class OptimizationResult:
     best_value: float
     best_point: OperatingPoint
-    iterations: int
+    iterations: int  # always 0: the optimum is closed form
     bracket: tuple[float, float]
-    grid_fallback: bool = False  # set when the pre-scan saw non-unimodality
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,12 @@ class ComparisonTable:
                 if a != b:
                     out[f"{a}/{b}"] = self.density_ratio(a, b)
         return out
+
+
+def _check_dt_meas(dt_meas: float) -> None:
+    # once up front, so the error does not blame a sweep point or a design
+    if not 0 <= dt_meas < inf:
+        raise ParameterError("dt_meas must be finite and >= 0")
 
 
 def _evaluate_at(
@@ -99,8 +106,9 @@ def sweep(
             f"unknown sweep parameter {parameter!r}; "
             f"choose from {', '.join(SWEEPABLE_PARAMETERS)}"
         )
-    if not lo < hi:
-        raise ParameterError("sweep requires lo < hi")
+    if not -inf < lo < hi < inf:
+        raise ParameterError("sweep requires finite bounds with lo < hi")
+    _check_dt_meas(dt_meas)
     if n_points < 2:
         raise ParameterError("n_points must be >= 2")
     if spacing not in ("linear", "log"):
@@ -122,81 +130,31 @@ def sweep(
     return SweepCurve(parameter=parameter, points=tuple(points))
 
 
-def _is_unimodal(powers: np.ndarray) -> bool:
-    # Rising phase followed by a falling phase; ties within float noise are
-    # treated as flat and allowed in either phase.
-    scale = float(np.max(np.abs(powers))) or 1.0
-    tol = 1e-12 * scale
-    seen_drop = False
-    for d in np.diff(powers):
-        if d > tol:
-            if seen_drop:
-                return False
-        elif d < -tol:
-            seen_drop = True
-    return True
-
-
 def optimize_leg_length(
-    design: GeneratorDesign,
-    dt_meas: float,
-    lo: float,
-    hi: float,
-    tol: float = 0.1e-6,
+    design: GeneratorDesign, dt_meas: float, lo: float, hi: float
 ) -> OptimizationResult:
-    """Maximize matched-load power over leg length in [lo, hi].
+    """Maximize matched-load power over leg length in [lo, hi], exactly.
 
-    A 64-point log-spaced pre-scan certifies unimodality; golden-section
-    search then shrinks the bracket below tol. If the pre-scan sees more
-    than one rise-fall transition the result falls back to a dense-grid
-    argmax and sets grid_fallback.
+    Matched power goes as L^2 / ((L + a)^2 (L + b)), with a = K A_dev
+    lambda_eff and b = 4 rho_c / (rho_p + rho_n). Derivation:
+    d ln P / dL = 2/L - 2/(L + a) - 1/(L + b) = 0 gives L^2 - a L - 2 a b = 0,
+    whose only positive root is L* = (a + sqrt(a^2 + 8 a b)) / 2.
+    Power rises below L* and falls above it, so the bracketed optimum is L*
+    clipped to [lo, hi]. With b = 0, L* = a is the thermal match R_G = K.
     """
-    if not 0 < lo < hi:
-        raise ParameterError("bracket requires 0 < lo < hi")
-    if not tol > 0:
-        raise ParameterError("tol must be > 0")
-
-    def power(length: float) -> float:
-        return _evaluate_at(design, dt_meas, "leg_length", length).p_matched
-
-    scan_x = np.geomspace(lo, hi, PRESCAN_POINTS)
-    scan_p = np.array([power(x) for x in scan_x])
-
-    if not _is_unimodal(scan_p):
-        grid = np.linspace(lo, hi, FALLBACK_GRID)
-        best = float(grid[int(np.argmax([power(x) for x in grid]))])
-        return OptimizationResult(
-            best_value=best,
-            best_point=_evaluate_at(design, dt_meas, "leg_length", best),
-            iterations=FALLBACK_GRID,
-            bracket=(lo, hi),
-            grid_fallback=True,
-        )
-
-    peak = int(np.argmax(scan_p))
-    a = float(scan_x[max(peak - 1, 0)])
-    b = float(scan_x[min(peak + 1, PRESCAN_POINTS - 1)])
-
-    # Golden-section maximization on [a, b].
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    pc, pd = power(c), power(d)
-    iterations = 0
-    while b - a > tol:
-        if pc > pd:
-            b, d, pd = d, c, pc
-            c = b - _INV_PHI * (b - a)
-            pc = power(c)
-        else:
-            a, c, pc = c, d, pd
-            d = a + _INV_PHI * (b - a)
-            pd = power(d)
-        iterations += 1
-    best = (a + b) / 2
+    if not 0 < lo < hi < inf:
+        raise ParameterError("bracket requires 0 < lo < hi < inf")
+    # A_dev lambda_eff = L / R_G, so the conduction formula stays in device.py
+    r_gen = generator_thermal_resistance(design)
+    a = design.interface_resistance * design.leg_length / r_gen
+    b = 4 * design.contact_resistivity / (
+        design.p_material.resistivity + design.n_material.resistivity
+    )
+    best = min(max((a + sqrt(a * a + 8 * a * b)) / 2, lo), hi)
     return OptimizationResult(
         best_value=best,
         best_point=_evaluate_at(design, dt_meas, "leg_length", best),
-        iterations=iterations,
+        iterations=0,
         bracket=(lo, hi),
     )
 
@@ -207,6 +165,7 @@ def compare_designs(
     """Evaluate named designs at a common dt_meas."""
     if len(designs) < 2:
         raise ParameterError("compare_designs requires at least 2 designs")
+    _check_dt_meas(dt_meas)
     rows = []
     for name, design in designs.items():
         try:

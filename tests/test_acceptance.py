@@ -144,8 +144,7 @@ def test_criterion_4_metal_leg_comparison():
 
 def test_criterion_5_optimizer():
     start = time.monotonic()
-    result = optimize_leg_length(annealed_design(), 40.0, 10e-6, 1e-3,
-                                 tol=0.01e-6)
+    result = optimize_leg_length(annealed_design(), 40.0, 10e-6, 1e-3)
     grid = np.linspace(10e-6, 1e-3, 10_000)
     design = annealed_design()
     powers = [
@@ -156,7 +155,7 @@ def test_criterion_5_optimizer():
 
     closed = _design(fill=1.0, rho=constants.BI2TE3_RESISTIVITY_ANNEALED,
                      rho_c=0.0, lam=1.5)
-    closed_result = optimize_leg_length(closed, 40.0, 10e-6, 2e-3, tol=0.01e-6)
+    closed_result = optimize_leg_length(closed, 40.0, 10e-6, 2e-3)
     r_g_star = generator_thermal_resistance(
         dataclasses.replace(closed, leg_length=closed_result.best_value)
     )
@@ -171,7 +170,7 @@ def test_criterion_5_optimizer():
     criterion(
         5,
         f"L* = {result.best_value * 1e6:.2f} um in [100, 300], "
-        f"|golden - grid| = {abs(result.best_value - oracle) * 1e6:.4f} um "
+        f"|closed form - grid| = {abs(result.best_value - oracle) * 1e6:.4f} um "
         f"(<= 0.1), closed-form R_G(L*) = {r_g_star:.5f} K/W "
         f"(K within 0.1%), runtime {elapsed:.2f} s (< 5)",
         ok,

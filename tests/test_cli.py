@@ -93,6 +93,28 @@ class TestOptimize:
         best_um = report_of(out)["outputs"]["best_leg_length_um"]
         assert 100 <= best_um <= 300
 
+    def test_report_outputs_key_set(self, capsys):
+        code, out, _ = run(
+            capsys, "optimize", "--config", ANNEALED, "--dt", "40",
+            "--from", "1e-5", "--to", "1e-3",
+        )
+        assert code == 0
+        report = report_of(out)
+        assert set(report["outputs"]) == {
+            "best_leg_length_m", "best_leg_length_um", "iterations", "best_point",
+        }
+        assert report["outputs"]["iterations"] == 0
+        assert report["warnings"] == []
+
+    def test_tol_is_not_an_option(self, capsys):
+        code, out, err = run(
+            capsys, "optimize", "--config", ANNEALED, "--dt", "40",
+            "--from", "1e-5", "--to", "1e-3", "--tol", "1e-8",
+        )
+        assert code == 1
+        assert out == ""
+        assert "--tol" in err
+
 
 class TestCompare:
     def test_ratio_report(self, capsys, tmp_path):
@@ -208,6 +230,46 @@ class TestNonFiniteInputs:
         assert code == 1
         assert out == ""
         assert key in err
+
+    @pytest.mark.parametrize("argv, name", [
+        (["eval", "--config", ANNEALED, "--dt", "nan"], "dt_meas"),
+        (["eval", "--config", ANNEALED, "--dt", "inf"], "dt_meas"),
+        (["compare", "--config", CUNI, "--config", ANNEALED, "--dt", "nan"],
+         "dt_meas"),
+        (["optimize", "--config", ANNEALED, "--dt", "nan",
+          "--from", "1e-5", "--to", "1e-3"], "dt_meas"),
+        (["optimize", "--config", ANNEALED, "--dt", "40",
+          "--from", "1e-5", "--to", "inf"], "bracket"),
+        (["calibrate", "--config", ANNEALED, "--dt", "40", "--target", "inf"],
+         "target_density"),
+        (["calibrate", "--config", ANNEALED, "--dt", "inf", "--target", "278.5"],
+         "dt_meas"),
+    ], ids=["eval-dt-nan", "eval-dt-inf", "compare-dt-nan", "optimize-dt-nan",
+            "optimize-to-inf", "calibrate-target-inf", "calibrate-dt-inf"])
+    def test_non_finite_argument_exits_1(self, capsys, recwarn, argv, name):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert name in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("dt, hi, name", [
+        ("nan", "1e-3", "dt_meas"),
+        ("40", "inf", "bounds"),
+    ], ids=["dt-nan", "to-inf"])
+    def test_non_finite_sweep_argument_writes_no_csv(self, capsys, recwarn,
+                                                      tmp_path, dt, hi, name):
+        out_csv = tmp_path / "curve.csv"
+        code, out, err = run(
+            capsys, "sweep", "--config", ANNEALED, "--dt", dt,
+            "--param", "leg_length", "--from", "1e-5", "--to", hi,
+            "--points", "5", "--out", str(out_csv),
+        )
+        assert code == 1
+        assert out == ""
+        assert name in err
+        assert not out_csv.exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 class TestUsage:

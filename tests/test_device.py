@@ -314,8 +314,11 @@ class TestEvaluate:
         assert op.r_internal > 0
 
     def test_negative_temperature_rejected(self):
-        with pytest.raises(ParameterError):
-            evaluate(make_design(), -1.0)
+        for dt_meas in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ParameterError, match="dt_meas"):
+                evaluate(make_design(), dt_meas)
+            with pytest.raises(ParameterError, match="dt_meas"):
+                thermal_divider(dt_meas, 4.487, 3.9)
 
     def test_efficiency_factor_is_temperature_invariant(self):
         design = make_design()
@@ -387,5 +390,9 @@ class TestCalibrateSeebeck:
             calibrate_seebeck(design, 40.0, 2.785)
 
     def test_nonpositive_target_rejected(self):
-        with pytest.raises(ParameterError):
-            calibrate_seebeck(make_design(), 40.0, 0.0)
+        for target in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ParameterError, match="target_density"):
+                calibrate_seebeck(make_design(), 40.0, target)
+        for dt_meas in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ParameterError, match="dt_meas"):
+                calibrate_seebeck(make_design(), dt_meas, 2.785)

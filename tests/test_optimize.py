@@ -65,6 +65,17 @@ class TestSweep:
         with pytest.raises(ParameterError):
             sweep(annealed, 40.0, "leg_length", 1e-5, 1e-3, 1)
 
+    def test_non_finite_bounds_rejected(self, annealed):
+        for lo, hi in ((1e-5, float("inf")), (float("-inf"), 1e-3),
+                       (float("nan"), 1e-3)):
+            with pytest.raises(ParameterError, match="bounds"):
+                sweep(annealed, 40.0, "leg_length", lo, hi, 5)
+
+    def test_non_finite_dt_meas_rejected(self, annealed):
+        for dt_meas in (float("nan"), float("inf")):
+            with pytest.raises(ParameterError, match="dt_meas"):
+                sweep(annealed, dt_meas, "leg_length", 1e-5, 1e-3, 5)
+
     def test_log_spacing_needs_a_positive_lower_bound(self, annealed):
         with pytest.raises(ParameterError):
             sweep(annealed, 40.0, "contact_resistivity", 0.0, 1e-8, 5,
@@ -80,12 +91,11 @@ class TestSweep:
 
 class TestOptimizeLegLength:
     def test_reference_design_optimum_is_in_the_expected_window(self, annealed):
-        result = optimize_leg_length(annealed, 40.0, 10e-6, 1e-3, tol=0.01e-6)
+        result = optimize_leg_length(annealed, 40.0, 10e-6, 1e-3)
         assert 100e-6 <= result.best_value <= 300e-6
-        assert not result.grid_fallback
 
     def test_matches_the_dense_grid_oracle(self, annealed):
-        result = optimize_leg_length(annealed, 40.0, 10e-6, 1e-3, tol=0.01e-6)
+        result = optimize_leg_length(annealed, 40.0, 10e-6, 1e-3)
         oracle, spacing = grid_argmax(annealed, 40.0, 10e-6, 1e-3)
         assert abs(result.best_value - oracle) <= 0.1e-6
 
@@ -102,14 +112,29 @@ class TestOptimizeLegLength:
     def test_monotone_decreasing_case_returns_the_lower_end(self):
         # With a perfect interface and no contacts, power falls as 1/L.
         design = make_design(k_if=0.0, rho_c=0.0)
-        result = optimize_leg_length(design, 40.0, 10e-6, 1e-3, tol=0.05e-6)
-        assert result.best_value == pytest.approx(10e-6, abs=0.1e-6)
+        result = optimize_leg_length(design, 40.0, 10e-6, 1e-3)
+        assert result.best_value == 10e-6
+
+    def test_optimum_below_the_bracket_returns_exactly_lo(self, annealed):
+        # the annealed optimum sits near 232 um
+        result = optimize_leg_length(annealed, 40.0, 400e-6, 1e-3)
+        assert result.best_value == 400e-6
+        assert result.best_point == evaluate(
+            dataclasses.replace(annealed, leg_length=400e-6), 40.0
+        )
+
+    def test_optimum_above_the_bracket_returns_exactly_hi(self, cuni):
+        # metal legs have a negligible thermal resistance, so the optimum
+        # leg is far longer than 1 mm
+        result = optimize_leg_length(cuni, 40.0, 10e-6, 1e-3)
+        assert result.best_value == 1e-3
+        assert result.iterations == 0
 
     def test_contact_free_optimum_matches_the_calculus_solution(self):
         # dP/dL = 0 with rho_c = 0 reduces to R_G(L*) = K, i.e.
         # L* = K A_dev lambda for a fully filled device.
         design = make_design(fill_factor=1.0, rho_c=0.0, lam=1.5, k_if=3.9)
-        result = optimize_leg_length(design, 40.0, 10e-6, 2e-3, tol=0.01e-6)
+        result = optimize_leg_length(design, 40.0, 10e-6, 2e-3)
         l_star = 3.9 * design.device_area * 1.5
         assert result.best_value == pytest.approx(l_star, rel=1e-3)
         r_g = result.best_value / (design.device_area * 1.5)
@@ -118,39 +143,16 @@ class TestOptimizeLegLength:
     def test_bad_bracket_rejected(self, annealed):
         with pytest.raises(ParameterError):
             optimize_leg_length(annealed, 40.0, 1e-3, 1e-5)
-        with pytest.raises(ParameterError):
-            optimize_leg_length(annealed, 40.0, 1e-5, 1e-3, tol=0.0)
+        for lo, hi in ((0.0, 1e-3), (1e-5, float("inf")), (float("nan"), 1e-3)):
+            with pytest.raises(ParameterError, match="bracket"):
+                optimize_leg_length(annealed, 40.0, lo, hi)
 
     @settings(max_examples=50)
     @given(designs)
-    def test_golden_section_matches_the_grid_on_random_designs(self, design):
-        tol = 0.01e-6
-        result = optimize_leg_length(design, 40.0, 10e-6, 1e-3, tol=tol)
+    def test_closed_form_matches_the_grid_on_random_designs(self, design):
+        result = optimize_leg_length(design, 40.0, 10e-6, 1e-3)
         oracle, spacing = grid_argmax(design, 40.0, 10e-6, 1e-3, n=10_000)
-        assert not result.grid_fallback
-        assert abs(result.best_value - oracle) <= tol + spacing / 2
-
-    def test_prescan_rejection_falls_back_to_the_grid(self, annealed,
-                                                      monkeypatch):
-        # The closed-form model is provably unimodal in leg length, so the
-        # fallback can only be reached by forcing the pre-scan verdict.
-        import tegkit.optimize as opt
-
-        monkeypatch.setattr(opt, "_is_unimodal", lambda powers: False)
-        monkeypatch.setattr(opt, "FALLBACK_GRID", 2000)
-        result = opt.optimize_leg_length(annealed, 40.0, 10e-6, 1e-3)
-        assert result.grid_fallback
-        oracle, spacing = grid_argmax(annealed, 40.0, 10e-6, 1e-3, n=2000)
-        assert result.best_value == pytest.approx(oracle, abs=spacing)
-
-    def test_unimodality_detector(self):
-        from tegkit.optimize import _is_unimodal
-
-        assert _is_unimodal(np.array([1.0, 2.0, 3.0, 2.0, 1.0]))
-        assert _is_unimodal(np.array([3.0, 2.0, 1.0]))  # peak at the edge
-        assert _is_unimodal(np.array([1.0, 2.0, 3.0]))
-        assert _is_unimodal(np.array([1.0, 1.0, 1.0]))  # flat counts
-        assert not _is_unimodal(np.array([1.0, 3.0, 1.0, 3.0, 1.0]))
+        assert abs(result.best_value - oracle) <= 0.01e-6 + spacing / 2
 
 
 class TestCompareDesigns:
@@ -194,6 +196,11 @@ class TestCompareDesigns:
     def test_requires_at_least_two_designs(self, annealed):
         with pytest.raises(ParameterError):
             compare_designs({"only": annealed}, 40.0)
+
+    def test_non_finite_dt_meas_is_not_blamed_on_a_design(self, annealed, cuni):
+        for dt_meas in (float("nan"), float("inf")):
+            with pytest.raises(ParameterError, match="dt_meas"):
+                compare_designs({"a": annealed, "b": cuni}, dt_meas)
 
     def test_failures_are_tagged_with_the_design_name(self, annealed):
         broken = dataclasses.replace(annealed, fill_factor=1e-7)
