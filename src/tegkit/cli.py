@@ -127,6 +127,7 @@ def _cmd_compare(args, argv):
     for name, path in zip(names, args.config):
         designs[name] = parse_design(path).design
     table = compare_designs(designs, args.dt)
+    ratios = table.ratios()  # before any CSV is written: it may raise
     if args.out:
         emit_comparison(table, args.out)
     report = run_report(
@@ -135,7 +136,7 @@ def _cmd_compare(args, argv):
         {"configs": list(args.config), "dt_meas_K": args.dt},
         {"csv": str(args.out) if args.out else None,
          "rows": {name: operating_point_dict(op) for name, op in table.rows},
-         "p_density_ratios": table.ratios()},
+         "p_density_ratios": ratios},
     )
     return report
 

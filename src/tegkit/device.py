@@ -10,6 +10,8 @@ the square of the applied temperature difference.
 from dataclasses import dataclass
 from math import inf, sqrt
 
+import numpy as np
+
 from .errors import (
     CalibrationError,
     DegenerateDesignError,
@@ -220,6 +222,67 @@ def evaluate(design: GeneratorDesign, dt_meas: float) -> OperatingPoint:
         q_cold=q,
         eff_factor=eff,
     )
+
+
+def evaluate_columns(
+    design: GeneratorDesign,
+    leg_length,
+    fill_factor,
+    contact_resistivity,
+    interface_resistance,
+    dt_meas,
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """`evaluate` over arrays: one model pass for many operating points.
+
+    Each of the five arguments is an array or a float; they broadcast to one
+    shape. The design supplies the areas and materials; its own values of
+    the four design fields given here are not used. Returns (valid, columns):
+    columns holds one array per `OperatingPoint` field, in field order, with
+    the same IEEE operations in the same order as `evaluate`, so every value
+    equals its scalar counterpart bit for bit. valid is False exactly where
+    `GeneratorDesign` or `evaluate` would raise for that point; the columns
+    there hold whatever the formulas give.
+    """
+    args = [
+        np.asarray(x, dtype=float)
+        for x in (leg_length, fill_factor, contact_resistivity,
+                  interface_resistance, dt_meas)
+    ]
+    shape = np.broadcast(*args).shape
+    # np.full copies each value exactly (and costs less than broadcast_arrays)
+    L, F, rho_c, k_if, dt = (
+        x if x.shape == shape else np.full(shape, x) for x in args
+    )
+    p_mat, n_mat = design.p_material, design.n_material
+    # invalid points may divide by zero; valid says which points those are
+    with np.errstate(all="ignore"):
+        lam = (
+            F * (p_mat.thermal_conductivity + n_mat.thermal_conductivity) / 2
+            + (1 - F) * design.matrix_material.thermal_conductivity
+        )
+        r_gen = L / (design.device_area * lam)
+        dt_gen = dt * (r_gen / (r_gen + k_if))
+        n = F * design.device_area / (2 * design.leg_area)
+        v_oc = n * (p_mat.seebeck - n_mat.seebeck) * dt_gen
+        r_i = n * (
+            ((p_mat.resistivity + n_mat.resistivity) * L + 4 * rho_c)
+            / design.leg_area
+        )
+        # Python's float ** (libm pow) rounds some squares differently from
+        # numpy's x * x, so square the list to match `evaluate` bit for bit
+        p = np.array([v**2 for v in v_oc.tolist()]) / (4 * r_i)
+        q = dt_gen / r_gen
+        density = p / design.device_area
+        dt_sq = dt * dt
+        eff = np.divide(density, dt_sq, out=np.zeros_like(density),
+                        where=dt_sq > 0)
+    valid = (
+        (0 < L) & (L < inf) & (0 < F) & (F <= 1)
+        & (0 <= rho_c) & (rho_c < inf) & (0 <= k_if) & (k_if < inf)
+        & (0 <= dt) & (dt < inf)
+        & (lam > 0) & (r_gen > 0) & ~(n < 1) & (r_i > 0)
+    )
+    return valid, (dt, dt_gen, v_oc, r_i, p, density, q, q, eff)
 
 
 def calibrate_seebeck(

@@ -1,7 +1,9 @@
 """Parameter sweeps, leg-length optimization, and design comparison.
 
-Sweeps evaluate the model point by point; the leg-length optimum is closed
-form (see `optimize_leg_length`), with no search.
+A sweep is one array pass of the model (`device.evaluate_columns`) over its
+grid; the leg-length optimum is closed form (see `optimize_leg_length`),
+with no search. Comparisons and the optimum evaluate one to a few points, so
+they call scalar `evaluate`, which costs less than an array pass there.
 """
 
 from dataclasses import dataclass, replace
@@ -14,6 +16,7 @@ from .device import (
     GeneratorDesign,
     OperatingPoint,
     evaluate,
+    evaluate_columns,
     generator_thermal_resistance,
 )
 from .errors import ComparisonError, ParameterError, SweepError, TegkitError
@@ -61,7 +64,15 @@ class ComparisonTable:
         raise KeyError(name)
 
     def density_ratio(self, a: str, b: str) -> float:
-        return self.point(a).power_density / self.point(b).power_density
+        """Power density of a over that of b; ComparisonError names b if its
+        density is zero (as every density is at dt_meas = 0)."""
+        denominator = self.point(b).power_density
+        if denominator == 0:
+            raise ComparisonError(
+                b, f"design {b!r} has zero power density at dt_meas = "
+                f"{self.dt_meas:g} K; density ratios are undefined"
+            )
+        return self.point(a).power_density / denominator
 
     def ratios(self) -> dict[str, float]:
         out = {}
@@ -121,12 +132,23 @@ def sweep(
     else:
         values = np.linspace(lo, hi, n_points)
 
-    points = []
-    for v in values:
+    columns = {
+        "leg_length": design.leg_length,
+        "fill_factor": design.fill_factor,
+        "contact_resistivity": design.contact_resistivity,
+        "interface_resistance": design.interface_resistance,
+        "dt_meas": dt_meas,
+    }
+    columns[parameter] = values
+    valid, fields = evaluate_columns(design, **columns)
+    # The scalar path raises at the first point the model rejects, with the
+    # error and message that point has always produced.
+    for v in values[~valid]:
         try:
-            points.append((float(v), _evaluate_at(design, dt_meas, parameter, v)))
+            _evaluate_at(design, dt_meas, parameter, v)
         except TegkitError as exc:
             raise SweepError(parameter, float(v), f"{parameter} = {v:g}: {exc}") from exc
+    points = zip(values.tolist(), map(OperatingPoint, *(f.tolist() for f in fields)))
     return SweepCurve(parameter=parameter, points=tuple(points))
 
 

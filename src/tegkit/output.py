@@ -46,25 +46,29 @@ def _point_cells(op: OperatingPoint) -> list[str]:
     ]
 
 
-def _open_writer(path: str | Path):
-    handle = open(path, "w", newline="")
-    return handle, csv.writer(handle, lineterminator="\n")
-
-
 def emit_curve(curve: SweepCurve, path: str | Path) -> None:
     """Write a sweep curve as plot-ready CSV (one row per parameter value)."""
     if not curve.points:
         raise ParameterError("cannot emit an empty curve")
-    handle, writer = _open_writer(path)
-    with handle:
-        writer.writerow(SWEEP_COLUMNS)
-        for value, op in curve.points:
-            writer.writerow([curve.parameter, fmt(value)] + _point_cells(op))
+    # One format per row; the parameter name (one of SWEEPABLE_PARAMETERS)
+    # and the numbers hold no quote or separator character, so the bytes are
+    # those csv.writer would write.
+    row = curve.parameter + ",%.17g" * 7 + "\n"
+    rows = (
+        row % (value, op.dt_gen, op.v_oc, op.r_internal, op.p_matched,
+               op.power_density / UW_CM2_TO_W_M2, op.eff_factor / UW_CM2_TO_W_M2)
+        for value, op in curve.points
+    )
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join(SWEEP_COLUMNS) + "\n")
+        handle.writelines(rows)
 
 
 def emit_comparison(table: ComparisonTable, path: str | Path) -> None:
-    handle, writer = _open_writer(path)
-    with handle:
+    """Write one row per design. Names are config file stems and may hold a
+    separator or quote character, so csv.writer quotes them."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(COMPARE_COLUMNS)
         for name, op in table.rows:
             writer.writerow([name] + _point_cells(op))
@@ -73,16 +77,16 @@ def emit_comparison(table: ComparisonTable, path: str | Path) -> None:
 def emit_deposit_series(state: DepositState, path: str | Path) -> None:
     """Write the deposit time series as CSV, all rows in one call.
 
-    The cells hold no quote or separator characters, so joining them gives
-    the bytes csv.writer would write.
+    The cells hold no quote or separator characters, so one format per row
+    gives the bytes csv.writer would write.
     """
-    rows = (
-        f"{fmt(t)},{fmt(th)},{fmt(conc)}\n"
-        for t, th, conc in zip(
+    rows = map(
+        "%.17g,%.17g,%.17g\n".__mod__,
+        zip(
             state.times.tolist(),
             (state.thickness_series / 1e-6).tolist(),
             state.surface_conc_series.tolist(),
-        )
+        ),
     )
     with open(path, "w", newline="") as handle:
         handle.write(",".join(ECD_COLUMNS) + "\n")

@@ -130,6 +130,18 @@ class TestCompare:
             rows = list(csv.DictReader(fh))
         assert [r["design"] for r in rows] == ["cu_ni", "bi2te3_annealed"]
 
+    def test_zero_power_density_is_a_validation_error(self, capsys, tmp_path):
+        # at dt = 0 every density is 0, so no ratio exists
+        out_csv = tmp_path / "table.csv"
+        code, out, err = run(
+            capsys, "compare", "--config", CUNI, "--config", ANNEALED,
+            "--dt", "0", "--out", str(out_csv),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: design 'bi2te3_annealed' has zero power density")
+        assert not out_csv.exists()
+
     def test_duplicate_names_rejected(self, capsys):
         code, _, _ = run(
             capsys, "compare", "--config", ANNEALED, "--config", ANNEALED,

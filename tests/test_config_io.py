@@ -2,6 +2,10 @@ import copy
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,8 +37,15 @@ from tegkit.errors import (
     ParameterError,
 )
 from tegkit.materials import lookup_material
-from tegkit.optimize import sweep
-from tegkit.output import emit_curve, emit_deposit_series, report_text
+from tegkit.optimize import compare_designs, sweep
+from tegkit.output import emit_comparison, emit_curve, emit_deposit_series, report_text
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def digest(path):
+    data = Path(path).read_bytes()
+    return hashlib.sha256(data).hexdigest(), len(data)
 
 MINIMAL = {
     "design": {
@@ -253,6 +264,63 @@ class TestCurveEmission:
             emit_curve(
                 type("C", (), {"points": (), "parameter": "leg_length"})(), "x.csv"
             )
+
+    # sha256 and size of each CSV as csv.writer wrote it from the
+    # point-by-point sweep, before the array kernel and one-format rows. The
+    # log leg_length sweep holds a cell whose square numpy's x * x rounds
+    # differently from Python's float ** 2.
+    @pytest.mark.parametrize("parameter, lo, hi, n, spacing, captured", [
+        ("leg_length", 10e-6, 1e-3, 300, "log",
+         ("02ea78eda692b17af7be6068446720ae6511ee549ac4029988967654384ce48e", 46237)),
+        ("fill_factor", 0.01, 1.0, 3000, "linear",
+         ("7750faed98dbd58b96e083102bbe4a03b94548fc6bf1af467eff80d5b715af39", 452891)),
+        ("contact_resistivity", 0.0, 1e-8, 3000, "linear",
+         ("c7105f68e137abe22d07b5fd6860c20990fab7953e7b7a505216c9d4d4907e69", 490224)),
+        ("interface_resistance", 0.0, 20.0, 3000, "linear",
+         ("ecfbd203eb43b3e1c0be81a6f1eb76a58494c14171e8bc3aae37253f014accc4", 480211)),
+        ("dt_meas", 0.0, 80.0, 3000, "linear",
+         ("f18d063b107de9002bfaebadb76953d4a6ee87d4c9d47d679cd8d8af01aebafc", 439632)),
+    ])
+    def test_bytes_match_the_captured_output(
+        self, tmp_path, annealed, parameter, lo, hi, n, spacing, captured
+    ):
+        path = tmp_path / "curve.csv"
+        emit_curve(sweep(annealed, 40.0, parameter, lo, hi, n, spacing=spacing), path)
+        assert digest(path) == captured
+
+
+class TestComparisonEmission:
+    def test_names_with_separators_and_quotes_are_quoted(self, tmp_path, annealed, cuni):
+        names = ['cu,ni', 'say "annealed"']
+        path = tmp_path / "table.csv"
+        emit_comparison(compare_designs(dict(zip(names, (cuni, annealed))), 40.0), path)
+        text = path.read_text()
+        assert '\n"cu,ni",' in text
+        assert '\n"say ""annealed""",' in text
+        with open(path, newline="") as fh:
+            assert [row["design"] for row in csv.DictReader(fh)] == names
+
+
+class TestReferenceStudy:
+    # sha256 and size of the design-side CSVs of scripts/run_reference_study.py,
+    # captured from the point-by-point sweep and csv.writer emission
+    CAPTURED = {
+        "design_comparison.csv":
+            ("613bb0f8074f0a5d995e47f72336775a622d0fb3739e1c461043a972f9740a02", 495),
+        "leg_length_sweep_bi2te3.csv":
+            ("09080903a80149255bcf0df9ef4b31c89c4f370737b590813613851a720e8455", 9308),
+        "leg_length_sweep_cu_ni.csv":
+            ("07e7dd8fb3bf8c908215ca25855ee6c4f8f181ef8c9e2fb6de8c5a04ddb5b7ca", 9631),
+    }
+
+    def test_csvs_match_the_captured_bytes(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "run_reference_study.py"),
+             "--outdir", str(tmp_path)],
+            check=True, env=env, capture_output=True,
+        )
+        assert {name: digest(tmp_path / name) for name in self.CAPTURED} == self.CAPTURED
 
 
 def series_state() -> DepositState:

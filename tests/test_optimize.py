@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tegkit.device import evaluate
-from tegkit.errors import ComparisonError, ParameterError, SweepError
+from tegkit.errors import ComparisonError, ParameterError, SweepError, TegkitError
 from tegkit.optimize import (
+    SWEEPABLE_PARAMETERS,
     compare_designs,
     optimize_leg_length,
     sweep,
@@ -24,6 +26,116 @@ def grid_argmax(design, dt, lo, hi, n=10_000):
         for x in grid
     ]
     return float(grid[int(np.argmax(powers))]), (hi - lo) / (n - 1)
+
+
+def scalar_sweep(design, dt, parameter, values):
+    """Point-by-point sweep through scalar `evaluate`: the kernel's oracle.
+
+    Returns the points, or the SweepError the first failing point raises.
+    """
+    points = []
+    for v in values:
+        try:
+            if parameter == "dt_meas":
+                op = evaluate(design, v)
+            else:
+                op = evaluate(dataclasses.replace(design, **{parameter: v}), dt)
+        except TegkitError as exc:
+            return SweepError(parameter, float(v), f"{parameter} = {v:g}: {exc}")
+        points.append((float(v), op))
+    return tuple(points)
+
+
+def grid(lo, hi, n, spacing):
+    return np.geomspace(lo, hi, n) if spacing == "log" else np.linspace(lo, hi, n)
+
+
+def bits(points):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [(v.hex(), *map(float.hex, dataclasses.astuple(op))) for v, op in points]
+
+
+def assert_sweep_matches_the_scalar_path(design, dt, parameter, lo, hi, n, spacing):
+    expected = scalar_sweep(design, dt, parameter, grid(lo, hi, n, spacing))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning either
+        try:
+            curve = sweep(design, dt, parameter, lo, hi, n, spacing=spacing)
+        except SweepError as err:
+            assert isinstance(expected, SweepError), f"unexpected error: {err}"
+            assert (err.parameter, err.value, str(err)) == (
+                expected.parameter, expected.value, str(expected))
+            return err
+    assert not isinstance(expected, SweepError), f"no error, expected: {expected}"
+    assert curve.parameter == parameter
+    assert bits(curve.points) == bits(expected)
+    return curve
+
+
+@st.composite
+def sweep_cases(draw):
+    design = draw(designs)
+    parameter = draw(st.sampled_from(SWEEPABLE_PARAMETERS))
+    spacing = draw(st.sampled_from(["linear", "log"]))
+    u = draw(st.floats(0.0, 1.0))
+    span = draw(st.floats(1e-3, 1.0))
+    if parameter == "fill_factor":
+        # from the smallest fill factor with N >= 1 up to 1
+        f_min = 2 * design.leg_area / design.device_area
+        lo = f_min + (1 - f_min) * 0.9 * u
+        hi = lo + (1 - lo) * span
+    else:
+        scale = {"leg_length": 1e-3, "contact_resistivity": 1e-9,
+                 "interface_resistance": 50.0, "dt_meas": 100.0}[parameter]
+        # linear sweeps may start at 0, except leg_length, which must be > 0
+        lo = scale * u
+        if spacing == "log" or parameter == "leg_length":
+            lo += scale * 1e-4
+        hi = lo + scale * span
+    n = draw(st.integers(2, 60))
+    dt = draw(st.floats(0.0, 100.0))
+    return design, dt, parameter, lo, hi, n, spacing
+
+
+class TestSweepKernel:
+    """The array pass against scalar `evaluate`, bit for bit."""
+
+    @settings(max_examples=150)
+    @given(sweep_cases())
+    def test_every_point_equals_the_scalar_model(self, case):
+        assert_sweep_matches_the_scalar_path(*case)
+
+    @pytest.mark.parametrize("parameter", SWEEPABLE_PARAMETERS)
+    def test_each_parameter_on_the_presets(self, annealed, cuni, parameter):
+        lo, hi = {"leg_length": (1e-5, 1e-3), "fill_factor": (0.05, 1.0),
+                  "contact_resistivity": (0.0, 1e-8),
+                  "interface_resistance": (0.0, 20.0),
+                  "dt_meas": (0.0, 80.0)}[parameter]
+        for design in (annealed, cuni):
+            assert_sweep_matches_the_scalar_path(
+                design, 40.0, parameter, lo, hi, 200, "linear")
+
+    def test_dt_meas_sweep_from_zero(self, annealed):
+        curve = assert_sweep_matches_the_scalar_path(
+            annealed, 40.0, "dt_meas", 0.0, 50.0, 11, "linear")
+        first = curve.points[0][1]
+        assert first.eff_factor == 0.0 and first.p_matched == 0.0
+
+    @pytest.mark.parametrize("parameter, lo, hi, n, spacing, index", [
+        ("fill_factor", 0.5, 1.5, 11, "linear", 6),  # crosses 1 mid-grid
+        ("fill_factor", 1e-7, 0.5, 4, "log", 0),  # couple count N < 1
+        ("leg_length", -1e-4, 1e-3, 12, "linear", 0),
+        ("contact_resistivity", -1e-9, 1e-9, 5, "linear", 0),
+        ("interface_resistance", -5.0, 5.0, 5, "linear", 0),
+        ("dt_meas", -10.0, 50.0, 7, "linear", 0),
+    ])
+    def test_failure_matches_the_scalar_path(
+        self, annealed, parameter, lo, hi, n, spacing, index
+    ):
+        err = assert_sweep_matches_the_scalar_path(
+            annealed, 40.0, parameter, lo, hi, n, spacing)
+        assert isinstance(err, SweepError)
+        assert err.value == grid(lo, hi, n, spacing)[index]
 
 
 class TestSweep:
@@ -201,6 +313,12 @@ class TestCompareDesigns:
         for dt_meas in (float("nan"), float("inf")):
             with pytest.raises(ParameterError, match="dt_meas"):
                 compare_designs({"a": annealed, "b": cuni}, dt_meas)
+
+    def test_ratio_over_a_zero_density_names_that_design(self, annealed, cuni):
+        table = compare_designs({"a": annealed, "b": cuni}, 0.0)
+        with pytest.raises(ComparisonError, match="zero power density") as err:
+            table.ratios()
+        assert err.value.design_name == "b"
 
     def test_failures_are_tagged_with_the_design_name(self, annealed):
         broken = dataclasses.replace(annealed, fill_factor=1e-7)
