@@ -5,17 +5,21 @@ resistance against the lumped interface resistance) feeding a Seebeck source
 with ohmic internal resistance. No Peltier/Joule back-coupling, so the same
 heat flow crosses the hot and cold faces and matched-load power scales with
 the square of the applied temperature difference.
+
+The scalar model is plain `math`; numpy is imported only inside
+`evaluate_columns`, so a process that evaluates single points never loads it.
 """
+
+from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf, sqrt
-
-import numpy as np
 
 from .errors import (
     CalibrationError,
     DegenerateDesignError,
     InvariantError,
+    NumericalError,
     ParameterError,
 )
 from .materials import MaterialProps
@@ -100,9 +104,11 @@ def generator_thermal_resistance(design: GeneratorDesign) -> float:
         / 2
         + (1 - design.fill_factor) * design.matrix_material.thermal_conductivity
     )
-    if not lam > 0:
+    # the product, not lam alone: it can underflow to 0 for a positive lam
+    area_lam = design.device_area * lam
+    if not area_lam > 0:
         raise DegenerateDesignError("no thermal conduction path through device")
-    return design.leg_length / (design.device_area * lam)
+    return design.leg_length / area_lam
 
 
 def thermal_divider(dt_meas: float, r_gen: float, k_if: float) -> float:
@@ -174,14 +180,26 @@ def load_power(v_oc: float, r_internal: float, r_load: float) -> float:
         raise ParameterError("r_internal must be > 0")
     if r_load < 0:
         raise ParameterError("r_load must be >= 0")
-    return v_oc**2 * r_load / (r_internal + r_load) ** 2
+    try:
+        return v_oc**2 * r_load / (r_internal + r_load) ** 2
+    except OverflowError:
+        raise NumericalError(
+            f"load power overflows: a square is beyond the float range "
+            f"(v_oc = {v_oc:g} V)"
+        ) from None
 
 
 def matched_load_power(v_oc: float, r_internal: float) -> float:
     """Maximum deliverable power, W: v_oc^2 / (4 r_internal)."""
     if not r_internal > 0:
         raise ParameterError("r_internal must be > 0")
-    return v_oc**2 / (4 * r_internal)
+    try:
+        return v_oc**2 / (4 * r_internal)
+    except OverflowError:
+        raise NumericalError(
+            f"p_matched overflows: v_oc^2 is beyond the float range "
+            f"(v_oc = {v_oc:g} V)"
+        ) from None
 
 
 def efficiency_factor(power_density: float, dt_meas: float) -> float:
@@ -211,6 +229,15 @@ def evaluate(design: GeneratorDesign, dt_meas: float) -> OperatingPoint:
     density = p / design.device_area
     dt_sq = dt_meas * dt_meas
     eff = density / dt_sq if dt_sq > 0 else 0.0
+    # Inputs near the float range can overflow a derived quantity (to inf,
+    # or NaN downstream); `evaluate_columns` marks the same points invalid.
+    for name, value in (("r_internal", r_i), ("power_density", density),
+                        ("q_hot", q), ("dt_meas^2", dt_sq), ("eff_factor", eff)):
+        if not value < inf:
+            raise NumericalError(
+                f"{name} = {value:g} at dt_meas = {dt_meas:g} K: the model "
+                f"overflows the float range"
+            )
     return OperatingPoint(
         dt_meas=dt_meas,
         dt_gen=dt_gen,
@@ -222,6 +249,13 @@ def evaluate(design: GeneratorDesign, dt_meas: float) -> OperatingPoint:
         q_cold=q,
         eff_factor=eff,
     )
+
+
+def _square_or_inf(v: float) -> float:
+    try:
+        return v**2
+    except OverflowError:
+        return inf
 
 
 def evaluate_columns(
@@ -243,6 +277,8 @@ def evaluate_columns(
     `GeneratorDesign` or `evaluate` would raise for that point; the columns
     there hold whatever the formulas give.
     """
+    import numpy as np
+
     args = [
         np.asarray(x, dtype=float)
         for x in (leg_length, fill_factor, contact_resistivity,
@@ -260,7 +296,8 @@ def evaluate_columns(
             F * (p_mat.thermal_conductivity + n_mat.thermal_conductivity) / 2
             + (1 - F) * design.matrix_material.thermal_conductivity
         )
-        r_gen = L / (design.device_area * lam)
+        area_lam = design.device_area * lam
+        r_gen = L / area_lam
         dt_gen = dt * (r_gen / (r_gen + k_if))
         n = F * design.device_area / (2 * design.leg_area)
         v_oc = n * (p_mat.seebeck - n_mat.seebeck) * dt_gen
@@ -270,7 +307,11 @@ def evaluate_columns(
         )
         # Python's float ** (libm pow) rounds some squares differently from
         # numpy's x * x, so square the list to match `evaluate` bit for bit
-        p = np.array([v**2 for v in v_oc.tolist()]) / (4 * r_i)
+        try:
+            squares = [v**2 for v in v_oc.ravel().tolist()]
+        except OverflowError:  # evaluate raises there; valid says so below
+            squares = [_square_or_inf(v) for v in v_oc.ravel().tolist()]
+        p = np.array(squares).reshape(shape) / (4 * r_i)
         q = dt_gen / r_gen
         density = p / design.device_area
         dt_sq = dt * dt
@@ -280,7 +321,9 @@ def evaluate_columns(
         (0 < L) & (L < inf) & (0 < F) & (F <= 1)
         & (0 <= rho_c) & (rho_c < inf) & (0 <= k_if) & (k_if < inf)
         & (0 <= dt) & (dt < inf)
-        & (lam > 0) & (r_gen > 0) & ~(n < 1) & (r_i > 0)
+        & (area_lam > 0) & (r_gen > 0) & ~(n < 1) & (r_i > 0)
+        & (r_i < inf) & (density < inf) & (q < inf) & (dt_sq < inf)
+        & (eff < inf)
     )
     return valid, (dt, dt_gen, v_oc, r_i, p, density, q, q, eff)
 

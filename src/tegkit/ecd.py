@@ -35,12 +35,17 @@ inverse cosine transform of the modal state. The results equal the step
 loop's up to rounding, depletion included: the first block row below zero
 gives the same DepletionError step. diffusion_step stays as the reference
 the tests hold this solver to.
+
+Only the functions that build arrays import numpy, and simulate_diffusion
+only once its arguments are accepted, so the analytic helpers (sand_time,
+faraday_growth_rate, time_to_thickness), the plan and bath records and
+every rejected run need no numpy.
 """
+
+from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf, isqrt, pi
-
-import numpy as np
 
 from . import constants
 from .errors import (
@@ -165,6 +170,8 @@ def stoichiometry_from_bath(c_bi2o3: float) -> StoichiometryRatio:
             f"c_bi2o3 = {c_bi2o3:g} mol/m3 outside the mapped window "
             f"[{constants.BATH_C_BI2O3_MIN:g}, {constants.BATH_C_BI2O3_MAX:g}]"
         )
+    import numpy as np
+
     ratio = float(
         np.interp(
             c_bi2o3,
@@ -191,6 +198,8 @@ def diffusion_step(
     `mouth_concentration` (stirred reservoir) or, when None, is a zero-flux
     wall (closed test cell; conserves trapezoid mass exactly).
     """
+    import numpy as np
+
     new = np.empty_like(profile)
     new[1:-1] = profile[1:-1] + r * (
         profile[2:] - 2 * profile[1:-1] + profile[:-2]
@@ -230,6 +239,8 @@ def _step_counts(plan: PulsePlan, dt: float) -> tuple[int, int, int]:
 
 def _pulse_steps(steps: np.ndarray, n_on: int, n_period: int) -> np.ndarray:
     """Pulse-on steps among the first `steps` of the integer schedule."""
+    import numpy as np
+
     full, rest = np.divmod(steps, n_period)
     return full * n_on + np.minimum(rest, n_on)
 
@@ -242,6 +253,8 @@ def _propagate(lam, source, c_bulk, n_on, n_period, n_steps, record_every):
     first goes negative at `step` (1-based). The power table lives only in
     this frame, so a caller that raises DepletionError holds no large array.
     """
+    import numpy as np
+
     n = lam.size
     rows = min(_BLOCK, n_steps)
     powers = np.empty((rows + 1, n))  # powers[k] = lam**k
@@ -286,6 +299,8 @@ def _profile(a: np.ndarray, c_bulk: float) -> np.ndarray:
     turns the n x n cosine basis into two products of (n / w) x n and
     n x w factors; the coarse angles are reduced exactly in integers.
     """
+    import numpy as np
+
     n = a.size
     w = isqrt(n)
     odd = 2 * np.arange(n) + 1
@@ -330,6 +345,7 @@ def simulate_diffusion(
             f"{dt_limit:g} s (grid {grid}, depth {mold_depth:g} m)"
         )
     n_on, n_off, n_steps = _step_counts(plan, dt)
+    import numpy as np
 
     r = bath.diffusivity * dt / (dx * dx)
     n = grid - 1

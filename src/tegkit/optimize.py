@@ -4,13 +4,15 @@ A sweep is one array pass of the model (`device.evaluate_columns`) over its
 grid; the leg-length optimum is closed form (see `optimize_leg_length`),
 with no search. Comparisons and the optimum evaluate one to a few points, so
 they call scalar `evaluate`, which costs less than an array pass there.
+Only `sweep` builds arrays, so only `sweep` imports numpy, once its
+arguments are accepted.
 """
+
+from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import inf, sqrt
 from typing import Mapping
-
-import numpy as np
 
 from .device import (
     GeneratorDesign,
@@ -126,6 +128,7 @@ def sweep(
         raise ParameterError(f"spacing must be 'linear' or 'log', got {spacing!r}")
     if spacing == "log" and not lo > 0:
         raise ParameterError("log spacing requires lo > 0")
+    import numpy as np
 
     if spacing == "log":
         values = np.geomspace(lo, hi, n_points)
@@ -143,11 +146,11 @@ def sweep(
     valid, fields = evaluate_columns(design, **columns)
     # The scalar path raises at the first point the model rejects, with the
     # error and message that point has always produced.
-    for v in values[~valid]:
+    for v in values[~valid].tolist():
         try:
             _evaluate_at(design, dt_meas, parameter, v)
         except TegkitError as exc:
-            raise SweepError(parameter, float(v), f"{parameter} = {v:g}: {exc}") from exc
+            raise SweepError(parameter, v, f"{parameter} = {v:g}: {exc}") from exc
     points = zip(values.tolist(), map(OperatingPoint, *(f.tolist() for f in fields)))
     return SweepCurve(parameter=parameter, points=tuple(points))
 

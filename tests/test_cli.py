@@ -284,6 +284,43 @@ class TestNonFiniteInputs:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+class TestOverflow:
+    """A dt_meas near the float range squares past it: a named error, one
+    stderr line, no traceback, no CSV."""
+
+    def test_eval_exits_2_naming_the_quantity(self, capsys):
+        code, out, err = run(capsys, "eval", "--config", ANNEALED,
+                             "--dt", "1e300")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical failure: p_matched overflows")
+        assert err.count("\n") == 1
+
+    def test_compare_exits_1_and_writes_no_csv(self, capsys, tmp_path):
+        out_csv = tmp_path / "table.csv"
+        code, out, err = run(capsys, "compare", "--config", CUNI, "--config",
+                             ANNEALED, "--dt", "1e300", "--out", str(out_csv))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: design 'cu_ni': p_matched overflows")
+        assert err.count("\n") == 1
+        assert not out_csv.exists()
+
+    def test_sweep_exits_1_and_writes_no_csv(self, capsys, recwarn, tmp_path):
+        out_csv = tmp_path / "curve.csv"
+        code, out, err = run(
+            capsys, "sweep", "--config", ANNEALED, "--dt", "40",
+            "--param", "dt_meas", "--from", "1", "--to", "1e300",
+            "--points", "3", "--out", str(out_csv),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: dt_meas = 5e+299: p_matched overflows")
+        assert err.count("\n") == 1
+        assert not out_csv.exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 class TestUsage:
     def test_unknown_flag_is_a_validation_error(self, capsys):
         code, _, _ = run(capsys, "eval", "--config", ANNEALED, "--dt", "40",

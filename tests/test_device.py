@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from tegkit.device import (
     calibrate_seebeck,
     efficiency_factor,
     evaluate,
+    evaluate_columns,
     generator_thermal_resistance,
     heat_flow,
     internal_resistance,
@@ -25,6 +27,7 @@ from tegkit.errors import (
     CalibrationError,
     DegenerateDesignError,
     InvariantError,
+    NumericalError,
     ParameterError,
 )
 from tegkit.materials import MaterialProps, lookup_material
@@ -137,6 +140,17 @@ class TestThermalResistance:
         assert generator_thermal_resistance(design) == pytest.approx(
             expected, rel=1e-6
         )
+
+    def test_underflowing_conductance_is_degenerate(self):
+        # device_area * lambda_eff = 1e-300 * 1e-30 underflows to 0
+        design = dataclasses.replace(
+            make_design(lam=1e-30, device_area=1e-300, leg_area=1e-302),
+            matrix_material=MaterialProps("m", 0.0, 1e10, 1e-30, "insulator"))
+        with pytest.raises(DegenerateDesignError, match="conduction"):
+            evaluate(design, 40.0)
+        valid, _ = evaluate_columns(design, design.leg_length,
+                                    design.fill_factor, 0.0, 3.9, 40.0)
+        assert not valid
 
 
 class TestThermalDivider:
@@ -274,6 +288,12 @@ class TestPowerTransfer:
         for r_load in np.geomspace(r * 1e-3, r * 1e3, 100):
             assert load_power(v, r, float(r_load)) <= p_max * (1 + 1e-12)
 
+    def test_overflowing_square_is_a_numerical_error(self):
+        with pytest.raises(NumericalError, match="p_matched"):
+            matched_load_power(1e200, 1.0)
+        with pytest.raises(NumericalError, match="load power"):
+            load_power(1e200, 1.0, 1.0)
+
     @settings(max_examples=200)
     @given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e6))
     def test_matched_dominance_property(self, v, r):
@@ -332,6 +352,51 @@ class TestEvaluate:
         p1 = evaluate(design, dt).p_matched
         p2 = evaluate(design, k * dt).p_matched
         assert p2 == pytest.approx(k * k * p1, rel=1e-10)
+
+    # (design, dt_meas, the quantity the error names); near the float range
+    # v_oc^2, dt_meas^2, the density or the heat flow overflow first
+    OVERFLOWS = [
+        (make_design(), 1e300, "p_matched"),
+        (make_design(), 2e154, "dt_meas^2"),
+        (make_design(), 1e155, "power_density"),
+        (make_design(leg_length=1e-6, device_area=1e4, seebeck_leg=1e-200,
+                     k_if=0.0), 1e300, "q_hot"),
+    ]
+
+    @pytest.mark.parametrize("design, dt, name", OVERFLOWS)
+    def test_overflow_is_a_numerical_error_naming_the_quantity(
+        self, design, dt, name
+    ):
+        with pytest.raises(NumericalError) as err:
+            evaluate(design, dt)
+        assert str(err.value).startswith(name)
+
+    @pytest.mark.parametrize("design, dt, name", OVERFLOWS)
+    def test_columns_mark_an_overflow_invalid(self, design, dt, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no OverflowError, no RuntimeWarning
+            valid, _ = evaluate_columns(
+                design, design.leg_length, design.fill_factor,
+                design.contact_resistivity, design.interface_resistance,
+                np.array([40.0, dt]))
+        assert valid.tolist() == [True, False]
+
+    @pytest.mark.parametrize("lengths, fills", [
+        (200e-6, 0.2),  # one point, 0-d
+        (np.geomspace(1e-5, 1e-3, 4)[:, None], np.linspace(0.1, 1.0, 3)),
+    ], ids=["0-d", "2-D"])
+    def test_columns_broadcast_to_any_shape(self, lengths, fills):
+        lengths, fills = np.broadcast_arrays(lengths, fills)
+        design = make_design()
+        valid, columns = evaluate_columns(design, lengths, fills, 0.0, 3.9, 40.0)
+        assert valid.shape == lengths.shape and valid.all()
+        for index in np.ndindex(lengths.shape):
+            op = evaluate(dataclasses.replace(
+                design, leg_length=float(lengths[index]),
+                fill_factor=float(fills[index])), 40.0)
+            # bit for bit, as on the sweep's 1-D grid
+            assert [float(c[index]).hex() for c in columns] == [
+                v.hex() for v in dataclasses.astuple(op)]
 
     @settings(max_examples=200)
     @given(designs, st.floats(0.0, 100.0))

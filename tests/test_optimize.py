@@ -34,15 +34,15 @@ def scalar_sweep(design, dt, parameter, values):
     Returns the points, or the SweepError the first failing point raises.
     """
     points = []
-    for v in values:
+    for v in values.tolist():  # Python floats, as the CLI passes them
         try:
             if parameter == "dt_meas":
                 op = evaluate(design, v)
             else:
                 op = evaluate(dataclasses.replace(design, **{parameter: v}), dt)
         except TegkitError as exc:
-            return SweepError(parameter, float(v), f"{parameter} = {v:g}: {exc}")
-        points.append((float(v), op))
+            return SweepError(parameter, v, f"{parameter} = {v:g}: {exc}")
+        points.append((v, op))
     return tuple(points)
 
 
@@ -128,6 +128,8 @@ class TestSweepKernel:
         ("contact_resistivity", -1e-9, 1e-9, 5, "linear", 0),
         ("interface_resistance", -5.0, 5.0, 5, "linear", 0),
         ("dt_meas", -10.0, 50.0, 7, "linear", 0),
+        ("dt_meas", 1.0, 1e300, 3, "linear", 1),  # v_oc^2 overflows
+        ("dt_meas", 1e154, 2e154, 3, "linear", 1),  # dt_meas^2 overflows
     ])
     def test_failure_matches_the_scalar_path(
         self, annealed, parameter, lo, hi, n, spacing, index
@@ -319,6 +321,11 @@ class TestCompareDesigns:
         with pytest.raises(ComparisonError, match="zero power density") as err:
             table.ratios()
         assert err.value.design_name == "b"
+
+    def test_overflow_is_tagged_with_the_design_name(self, annealed, cuni):
+        with pytest.raises(ComparisonError, match="p_matched") as err:
+            compare_designs({"annealed": annealed, "cu_ni": cuni}, 1e300)
+        assert err.value.design_name == "annealed"
 
     def test_failures_are_tagged_with_the_design_name(self, annealed):
         broken = dataclasses.replace(annealed, fill_factor=1e-7)
