@@ -15,20 +15,11 @@ import argparse
 import json
 from pathlib import Path
 
-from tegkit import (
-    BathSpec,
-    PulsePlan,
-    annealed_design,
-    as_deposited_design,
-    compare_designs,
-    constants,
-    cu_ni_design,
-    optimize_leg_length,
-    sand_time,
-    simulate_diffusion,
-    sweep,
-)
+from tegkit import constants
+from tegkit.ecd import BathSpec, PulsePlan, sand_time, simulate_diffusion
+from tegkit.optimize import compare_designs, optimize_leg_length, sweep
 from tegkit.output import emit_comparison, emit_curve, emit_deposit_series
+from tegkit.presets import annealed_design, as_deposited_design, cu_ni_design
 
 
 def main() -> None:

@@ -135,17 +135,6 @@ def _parse_material(value, path: str) -> MaterialProps:
         raise ConfigFieldError(str(exc), path) from exc
 
 
-def material_to_config(props: MaterialProps) -> dict:
-    """Inline config form of a material record (display units)."""
-    return {
-        "name": props.name,
-        "seebeck_uV_K": props.seebeck / UV_K_TO_V_K,
-        "resistivity_ohm_m": props.resistivity,
-        "thermal_conductivity_W_mK": props.thermal_conductivity,
-        "carrier": props.carrier,
-    }
-
-
 _DESIGN_KEYS = {
     "leg_length_um",
     "leg_area_um2",

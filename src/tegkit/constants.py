@@ -64,11 +64,7 @@ DT_GEN_REF = 21.4  # K, model-inferred difference across the generator
 K_INTERFACE_REF = 3.9  # K/W, lumped thermal interface resistance (both faces)
 POWER_DENSITY_AS_DEP = 0.716  # W/m2 (71.6 uW/cm2) at DT_MEAS_REF
 POWER_DENSITY_ANNEALED = 2.785  # W/m2 (278.5 uW/cm2) at DT_MEAS_REF
-POWER_DENSITY_BEST = 3.441  # W/m2 (344.1 uW/cm2), best device
-DT_MEAS_BEST = 44.4  # K, temperature difference of the best measurement
 CU_NI_POWER_RATIO_MIN = 60.0  # annealed Bi2Te3 vs Cu/Ni legs, same conditions
-DEPOSITION_RATE_REF = 20e-6 / 3600.0  # m/s (20 um/h sustained growth)
-CURRENT_DENSITY_REF = 93.0  # A/m2 (9.3 mA/cm2), Faraday-equivalent of the rate
 
 # ---------------------------------------------------------------------------
 # Reference device geometry
@@ -97,7 +93,12 @@ COUPLE_COUNT_REF = FILL_FACTOR_REF * DEVICE_AREA_REF / (2 * LEG_AREA_REF)
 
 def _calibrated_couple_seebeck(resistivity: float, target_density: float) -> float:
     # Closed form of tegkit.device.calibrate_seebeck at the reference
-    # geometry; consistency with the operation is pinned by tests.
+    # geometry, pinned to it by tests. It stays because the preset table in
+    # tegkit.materials needs these numbers at import time, and device imports
+    # materials. It also uses DT_GEN_REF as given: the divider computes
+    # dt_gen = 0x1.5666666666667p+4 against DT_GEN_REF = 0x1.5666666666666p+4,
+    # so calibrate_seebeck would move both couple coefficients by 1 ulp and
+    # change the bytes of every output.
     r_internal = (
         COUPLE_COUNT_REF
         * (2 * resistivity * LEG_LENGTH_REF + 4 * CONTACT_RESISTIVITY_REF)

@@ -52,6 +52,7 @@ from .errors import (
     DepletionError,
     ExtrapolationError,
     InvariantError,
+    NumericalError,
     ParameterError,
     StabilityError,
 )
@@ -150,13 +151,24 @@ def sand_time(c_bulk: float, diffusivity: float, n_e: float, j: float) -> float:
     """Depletion time of a constant-current, semi-infinite diffusion layer.
 
     tau = pi D (n_e F c)^2 / (4 j^2); a pulse shorter than tau keeps the
-    surface concentration positive in the analytic model.
+    surface concentration positive in the analytic model. A tau beyond the
+    float range (a square overflows or underflows, or tau rounds to 0 or
+    inf) raises NumericalError.
     """
     for name, v in (("c_bulk", c_bulk), ("diffusivity", diffusivity),
                     ("n_e", n_e), ("j", j)):
         if not v > 0:
             raise ParameterError(f"{name} must be > 0")
-    return pi * diffusivity * (n_e * constants.FARADAY * c_bulk) ** 2 / (4 * j**2)
+    try:
+        tau = pi * diffusivity * (n_e * constants.FARADAY * c_bulk) ** 2 / (4 * j**2)
+    except (OverflowError, ZeroDivisionError):
+        tau = inf
+    if not 0 < tau < inf:
+        raise NumericalError(
+            f"sand_time is beyond the float range (c_bulk = {c_bulk:g} mol/m3, "
+            f"diffusivity = {diffusivity:g} m2/s, n_e = {n_e:g}, j = {j:g} A/m2)"
+        )
+    return tau
 
 
 def stoichiometry_from_bath(c_bi2o3: float) -> StoichiometryRatio:

@@ -36,20 +36,18 @@ class ExtrapolationError(TegkitError, ValueError):
 class SweepError(TegkitError):
     """Evaluation failed at one sweep point; carries the offending value."""
 
-    def __init__(self, parameter: str, value: float, message: str = ""):
+    def __init__(self, parameter: str, value: float, message: str):
         self.parameter = parameter
         self.value = value
-        super().__init__(
-            message or f"evaluation failed at {parameter} = {value!r}"
-        )
+        super().__init__(message)
 
 
 class ComparisonError(TegkitError):
     """Evaluation failed for one named design in a comparison."""
 
-    def __init__(self, design_name: str, message: str = ""):
+    def __init__(self, design_name: str, message: str):
         self.design_name = design_name
-        super().__init__(message or f"evaluation failed for design {design_name!r}")
+        super().__init__(message)
 
 
 class ConfigError(TegkitError, ValueError):
@@ -87,8 +85,6 @@ class StabilityError(NumericalError, ParameterError):
 class DepletionError(NumericalError):
     """Surface ion concentration reached zero; carries the failure time."""
 
-    def __init__(self, time_s: float, message: str = ""):
+    def __init__(self, time_s: float):
         self.time_s = time_s
-        super().__init__(
-            message or f"surface concentration depleted at t = {time_s:.6g} s"
-        )
+        super().__init__(f"surface concentration depleted at t = {time_s:.6g} s")

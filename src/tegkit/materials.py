@@ -1,16 +1,12 @@
-"""Material records, the preset registry, and composition classification."""
+"""Material records and the preset registry."""
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import inf
 
 from . import constants
-from .errors import InvariantError, ParameterError, UnknownMaterialError
+from .errors import InvariantError, UnknownMaterialError
 
 CARRIERS = ("p", "n", "metal", "insulator")
-NEAR_STOICHIOMETRIC = "near_stoichiometric"
-
-#: Default half-width of the Te:Bi band treated as near-stoichiometric.
-STOICH_BAND_DEFAULT = 0.05
 
 
 @dataclass(frozen=True)
@@ -60,11 +56,6 @@ class StoichiometryRatio:
     def __post_init__(self):
         if not self.te_to_bi > 0:
             raise InvariantError("te_to_bi must be > 0")
-
-    @property
-    def bi_excess(self) -> float:
-        """x of Bi(2+x)Te(3-x); te_to_bi = (3 - x) / (2 + x)."""
-        return (3 - 2 * self.te_to_bi) / (1 + self.te_to_bi)
 
 
 _PRESETS = {
@@ -139,37 +130,3 @@ def lookup_material(name: str) -> MaterialProps:
         raise UnknownMaterialError(
             f"unknown material {name!r}; valid presets: {', '.join(preset_names())}"
         ) from None
-
-
-def classify_carrier(
-    ratio: StoichiometryRatio, band: float = STOICH_BAND_DEFAULT
-) -> str:
-    """Carrier class implied by composition.
-
-    Te rich (> 1.5 + band) conducts n-type, Bi rich (< 1.5 - band) p-type.
-    Anything inside the band is 'near_stoichiometric' and is rejected as a
-    thermoleg material.
-    """
-    if band < 0:
-        raise ParameterError("band must be >= 0")
-    if ratio.te_to_bi > constants.STOICH_BALANCED + band:
-        return "n"
-    if ratio.te_to_bi < constants.STOICH_BALANCED - band:
-        return "p"
-    return NEAR_STOICHIOMETRIC
-
-
-def apply_annealing(props: MaterialProps, power_gain: float) -> MaterialProps:
-    """Anneal a thermoleg material: resistivity drops by `power_gain`.
-
-    Modeled purely as a resistivity reduction with Seebeck unchanged; under
-    the matched-load model, annealing both legs of a contact-free device
-    scales its power by exactly `power_gain`.
-    """
-    if not power_gain > 0:
-        raise ParameterError("power_gain must be > 0")
-    if props.carrier not in ("p", "n"):
-        raise ParameterError(
-            f"annealing applies to p/n thermolegs, not {props.carrier!r}"
-        )
-    return replace(props, resistivity=props.resistivity / power_gain)

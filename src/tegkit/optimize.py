@@ -39,17 +39,12 @@ class SweepCurve:
     parameter: str
     points: tuple[tuple[float, OperatingPoint], ...]
 
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(v for v, _ in self.points)
-
 
 @dataclass(frozen=True)
 class OptimizationResult:
     best_value: float
     best_point: OperatingPoint
     iterations: int  # always 0: the optimum is closed form
-    bracket: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -180,7 +175,6 @@ def optimize_leg_length(
         best_value=best,
         best_point=_evaluate_at(design, dt_meas, "leg_length", best),
         iterations=0,
-        bracket=(lo, hi),
     )
 
 

@@ -12,7 +12,7 @@ from .device import GeneratorDesign
 from .materials import lookup_material
 
 
-def reference_design(
+def _reference_design(
     p_name: str,
     n_name: str,
     contact_resistivity: float = constants.CONTACT_RESISTIVITY_REF,
@@ -32,17 +32,17 @@ def reference_design(
 
 def as_deposited_design() -> GeneratorDesign:
     """Electroplated Bi2Te3 legs before annealing (71.6 uW/cm2 at 40 K)."""
-    return reference_design("bi2te3_p_asdep", "bi2te3_n_asdep")
+    return _reference_design("bi2te3_p_asdep", "bi2te3_n_asdep")
 
 
 def annealed_design() -> GeneratorDesign:
     """Annealed Bi2Te3 legs (278.5 uW/cm2 at 40 K)."""
-    return reference_design("bi2te3_p_annealed", "bi2te3_n_annealed")
+    return _reference_design("bi2te3_p_annealed", "bi2te3_n_annealed")
 
 
 def cu_ni_design() -> GeneratorDesign:
     """Electroplated Cu/Ni legs on the same geometry (earlier technology)."""
-    return reference_design(
+    return _reference_design(
         "copper", "nickel", contact_resistivity=constants.CONTACT_RESISTIVITY_METAL
     )
 

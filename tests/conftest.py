@@ -1,7 +1,7 @@
 import hypothesis
 import pytest
 
-from tegkit import annealed_design, as_deposited_design, cu_ni_design
+from tegkit.presets import annealed_design, as_deposited_design, cu_ni_design
 
 # Diffusion property cases can exceed hypothesis' default per-example
 # deadline on slow machines; correctness is what matters here.

@@ -285,7 +285,7 @@ class TestNonFiniteInputs:
 
 
 class TestOverflow:
-    """A dt_meas near the float range squares past it: a named error, one
+    """An input near the float range squares past it: a named error, one
     stderr line, no traceback, no CSV."""
 
     def test_eval_exits_2_naming_the_quantity(self, capsys):
@@ -319,6 +319,26 @@ class TestOverflow:
         assert err.count("\n") == 1
         assert not out_csv.exists()
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("j", ["1e-200", "1e200"])
+    def test_sand_time_current_exits_2_naming_the_quantity(self, capsys, j):
+        code, out, err = run(capsys, "ecd", "sand-time", "--config", ECD,
+                             "--j", j)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical failure: sand_time is beyond")
+        assert err.count("\n") == 1
+
+    def test_sand_time_bath_concentration_exits_2(self, capsys, tmp_path):
+        doc = json.loads(Path(ECD).read_text())
+        doc["ecd"]["bath"]["c_teo2_mol_m3"] = 1e300
+        cfg = tmp_path / "huge_bath.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "ecd", "sand-time", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical failure: sand_time is beyond")
+        assert err.count("\n") == 1
 
 
 class TestUsage:

@@ -24,7 +24,6 @@ from tegkit.config import (
     UM_TO_M,
     UV_K_TO_V_K,
     UW_CM2_TO_W_M2,
-    material_to_config,
     parse_config_dict,
     parse_design,
 )
@@ -129,7 +128,14 @@ class TestDesignParsing:
 
     def test_inline_material_round_trip(self):
         mat = lookup_material("bi2te3_p_annealed")
-        cfg = parse_config_dict(doc(p_material=material_to_config(mat)))
+        inline = {
+            "name": mat.name,
+            "seebeck_uV_K": mat.seebeck / UV_K_TO_V_K,
+            "resistivity_ohm_m": mat.resistivity,
+            "thermal_conductivity_W_mK": mat.thermal_conductivity,
+            "carrier": mat.carrier,
+        }
+        cfg = parse_config_dict(doc(p_material=inline))
         parsed = cfg.design.p_material
         assert parsed.seebeck == pytest.approx(mat.seebeck, rel=1e-12)
         assert parsed.resistivity == mat.resistivity

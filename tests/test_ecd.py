@@ -22,10 +22,10 @@ from tegkit.errors import (
     DepletionError,
     ExtrapolationError,
     InvariantError,
+    NumericalError,
     ParameterError,
     StabilityError,
 )
-from tegkit.materials import classify_carrier
 
 BATH = BathSpec()
 # Single-ion transport picture for depletion checks: HTeO2+ takes 4
@@ -164,6 +164,20 @@ class TestSandTime:
         with pytest.raises(ParameterError):
             sand_time(SAND_C, SAND_D, SAND_NE, 0.0)
 
+    def test_finite_result_is_the_formula_bit_for_bit(self):
+        assert sand_time(SAND_C, SAND_D, SAND_NE, SAND_J) == SAND_TAU
+
+    @pytest.mark.parametrize("c, d, j", [
+        (SAND_C, SAND_D, 1e-199),  # j^2 underflows to 0
+        (SAND_C, SAND_D, 1e-159),  # tau overflows to inf
+        (SAND_C, SAND_D, 1e201),  # j^2 overflows
+        (1e300, SAND_D, SAND_J),  # (n_e F c)^2 overflows
+        (SAND_C, 1e-300, 1e150),  # tau underflows to 0
+    ])
+    def test_beyond_the_float_range_is_a_named_numerical_error(self, c, d, j):
+        with pytest.raises(NumericalError, match="sand_time"):
+            sand_time(c, d, SAND_NE, j)
+
 
 class TestStoichiometryMap:
     def test_anchors(self):
@@ -187,12 +201,14 @@ class TestStoichiometryMap:
         )
 
     def test_recipes_produce_the_advertised_carrier_types(self):
-        # Te-rich recipes (low Bi2O3) give n legs, Bi-rich give p legs,
-        # outside the near-stoichiometric band around the 40 mol/m3 boundary.
+        # Te-rich recipes (low Bi2O3) give n legs, Bi-rich give p legs: the
+        # ratio clears a 0.05 band around stoichiometric Bi2Te3 on either
+        # side of the 40 mol/m3 boundary.
+        balanced = constants.STOICH_BALANCED
         for c in np.linspace(20.0, 38.0, 10):
-            assert classify_carrier(stoichiometry_from_bath(c)) == "n"
+            assert stoichiometry_from_bath(c).te_to_bi > balanced + 0.05
         for c in np.linspace(42.0, 60.0, 10):
-            assert classify_carrier(stoichiometry_from_bath(c)) == "p"
+            assert stoichiometry_from_bath(c).te_to_bi < balanced - 0.05
 
 
 class TestDiffusionSimulation:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tegkit.device import evaluate
+from tegkit.device import OperatingPoint, evaluate, evaluate_columns
 from tegkit.errors import ComparisonError, ParameterError, SweepError, TegkitError
 from tegkit.optimize import (
     SWEEPABLE_PARAMETERS,
@@ -19,12 +19,14 @@ from test_device import designs, make_design
 
 
 def grid_argmax(design, dt, lo, hi, n=10_000):
-    # Dense-grid oracle for the leg-length optimum.
+    # Dense-grid oracle for the leg-length optimum, in one kernel pass;
+    # TestSweepKernel pins the kernel to scalar `evaluate` bit for bit.
     grid = np.linspace(lo, hi, n)
-    powers = [
-        evaluate(dataclasses.replace(design, leg_length=float(x)), dt).p_matched
-        for x in grid
-    ]
+    valid, columns = evaluate_columns(
+        design, grid, design.fill_factor, design.contact_resistivity,
+        design.interface_resistance, dt)
+    assert valid.all()
+    powers = OperatingPoint(*columns).p_matched
     return float(grid[int(np.argmax(powers))]), (hi - lo) / (n - 1)
 
 
@@ -143,11 +145,12 @@ class TestSweepKernel:
 class TestSweep:
     def test_two_points_are_exactly_the_endpoints(self, annealed):
         curve = sweep(annealed, 40.0, "leg_length", 1e-5, 1e-3, 2)
-        assert curve.values == (1e-5, 1e-3)
+        assert [v for v, _ in curve.points] == [1e-5, 1e-3]
 
     def test_values_strictly_increase(self, annealed):
         curve = sweep(annealed, 40.0, "leg_length", 1e-5, 1e-3, 40, spacing="log")
-        assert all(a < b for a, b in zip(curve.values, curve.values[1:]))
+        values = [v for v, _ in curve.points]
+        assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_deterministic(self, annealed):
         a = sweep(annealed, 40.0, "leg_length", 1e-5, 1e-3, 25, spacing="log")
@@ -214,8 +217,8 @@ class TestOptimizeLegLength:
         assert abs(result.best_value - oracle) <= 0.1e-6
 
     def test_result_beats_the_bracket_ends(self, annealed):
-        result = optimize_leg_length(annealed, 40.0, 10e-6, 1e-3)
-        lo, hi = result.bracket
+        lo, hi = 10e-6, 1e-3
+        result = optimize_leg_length(annealed, 40.0, lo, hi)
         for end in (lo, hi):
             end_power = evaluate(
                 dataclasses.replace(annealed, leg_length=end), 40.0
