@@ -86,16 +86,16 @@ def _cmd_sweep(args, argv):
         spacing="log" if args.log else "linear",
     )
     emit_curve(curve, args.out)
-    densities = [op.power_density for _, op in curve.points]
-    best_idx = densities.index(max(densities))
+    densities = curve.column("power_density")
+    best_idx = densities.index(max(densities))  # the first maximum on ties
     report = run_report(
         "sweep",
         argv,
         {"config": args.config, "dt_meas_K": args.dt, "param": args.param,
          "from_si": args.lo, "to_si": args.hi, "points": args.points,
          "spacing": "log" if args.log else "linear"},
-        {"csv": str(args.out), "rows": len(curve.points),
-         "best_param_value_si": curve.points[best_idx][0],
+        {"csv": str(args.out), "rows": len(curve.values),
+         "best_param_value_si": curve.values[best_idx],
          "best_p_density_uW_cm2": densities[best_idx] / UW_CM2_TO_W_M2},
     )
     return report

@@ -1,16 +1,18 @@
 """Parameter sweeps, leg-length optimization, and design comparison.
 
 A sweep is one array pass of the model (`device.evaluate_columns`) over its
-grid; the leg-length optimum is closed form (see `optimize_leg_length`),
-with no search. Comparisons and the optimum evaluate one to a few points, so
-they call scalar `evaluate`, which costs less than an array pass there.
+grid, and its `SweepCurve` keeps that pass's columns: no per-point object is
+built between the kernel and the CSV. The leg-length optimum is closed form
+(see `optimize_leg_length`), with no search. Comparisons and the optimum
+evaluate one to a few points, so they call scalar `evaluate`, which costs
+less than an array pass there.
 Only `sweep` builds arrays, so only `sweep` imports numpy, once its
 arguments are accepted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from math import inf, sqrt
 from typing import Mapping
 
@@ -32,12 +34,30 @@ SWEEPABLE_PARAMETERS = (
 )
 
 
+_POINT_FIELDS = tuple(f.name for f in fields(OperatingPoint))
+
+
 @dataclass(frozen=True)
 class SweepCurve:
-    """One evaluated parameter sweep; points ordered by parameter value."""
+    """One evaluated parameter sweep, as columns ordered by parameter value.
+
+    values holds the swept parameter's values; columns holds one column per
+    `OperatingPoint` field, in field order, as `evaluate_columns` returns
+    them. `points` is a view of the same numbers as (value, OperatingPoint)
+    records, built on each access.
+    """
 
     parameter: str
-    points: tuple[tuple[float, OperatingPoint], ...]
+    values: tuple[float, ...]
+    columns: tuple[tuple[float, ...], ...]
+
+    def column(self, name: str) -> tuple[float, ...]:
+        """The `OperatingPoint` field `name` at every point."""
+        return self.columns[_POINT_FIELDS.index(name)]
+
+    @property
+    def points(self) -> tuple[tuple[float, OperatingPoint], ...]:
+        return tuple(zip(self.values, map(OperatingPoint, *self.columns)))
 
 
 @dataclass(frozen=True)
@@ -130,15 +150,15 @@ def sweep(
     else:
         values = np.linspace(lo, hi, n_points)
 
-    columns = {
+    inputs = {
         "leg_length": design.leg_length,
         "fill_factor": design.fill_factor,
         "contact_resistivity": design.contact_resistivity,
         "interface_resistance": design.interface_resistance,
         "dt_meas": dt_meas,
     }
-    columns[parameter] = values
-    valid, fields = evaluate_columns(design, **columns)
+    inputs[parameter] = values
+    valid, columns = evaluate_columns(design, **inputs)
     # The scalar path raises at the first point the model rejects, with the
     # error and message that point has always produced.
     for v in values[~valid].tolist():
@@ -146,8 +166,11 @@ def sweep(
             _evaluate_at(design, dt_meas, parameter, v)
         except TegkitError as exc:
             raise SweepError(parameter, v, f"{parameter} = {v:g}: {exc}") from exc
-    points = zip(values.tolist(), map(OperatingPoint, *(f.tolist() for f in fields)))
-    return SweepCurve(parameter=parameter, points=tuple(points))
+    return SweepCurve(
+        parameter=parameter,
+        values=tuple(values.tolist()),
+        columns=tuple(tuple(column.tolist()) for column in columns),
+    )
 
 
 def optimize_leg_length(

@@ -48,17 +48,21 @@ def _point_cells(op: OperatingPoint) -> list[str]:
 
 def emit_curve(curve: SweepCurve, path: str | Path) -> None:
     """Write a sweep curve as plot-ready CSV (one row per parameter value)."""
-    if not curve.points:
+    if not curve.values:
         raise ParameterError("cannot emit an empty curve")
     # One format per row; the parameter name (one of SWEEPABLE_PARAMETERS)
     # and the numbers hold no quote or separator character, so the bytes are
     # those csv.writer would write.
     row = curve.parameter + ",%.17g" * 7 + "\n"
-    rows = (
-        row % (value, op.dt_gen, op.v_oc, op.r_internal, op.p_matched,
-               op.power_density / UW_CM2_TO_W_M2, op.eff_factor / UW_CM2_TO_W_M2)
-        for value, op in curve.points
-    )
+    rows = map(row.__mod__, zip(
+        curve.values,
+        curve.column("dt_gen"),
+        curve.column("v_oc"),
+        curve.column("r_internal"),
+        curve.column("p_matched"),
+        [x / UW_CM2_TO_W_M2 for x in curve.column("power_density")],
+        [x / UW_CM2_TO_W_M2 for x in curve.column("eff_factor")],
+    ))
     with open(path, "w", newline="") as handle:
         handle.write(",".join(SWEEP_COLUMNS) + "\n")
         handle.writelines(rows)

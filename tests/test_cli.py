@@ -65,6 +65,19 @@ class TestSweep:
         best = max(rows, key=lambda r: float(r["p_density_uW_cm2"]))
         assert 100e-6 <= float(best["param_value_si"]) <= 300e-6
 
+    def test_ties_report_the_first_maximum(self, capsys, tmp_path):
+        # at dt 0 every power density is 0, so the first point is the best
+        code, out, _ = run(
+            capsys, "sweep", "--config", ANNEALED, "--dt", "0",
+            "--param", "leg_length", "--from", "1e-5", "--to", "1e-3",
+            "--points", "5", "--out", str(tmp_path / "curve.csv"),
+        )
+        assert code == 0
+        outputs = report_of(out)["outputs"]
+        assert outputs["best_param_value_si"] == 1e-5
+        assert outputs["best_p_density_uW_cm2"] == 0.0
+        assert outputs["rows"] == 5
+
     def test_single_point_sweep_is_a_validation_error(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "sweep", "--config", ANNEALED, "--dt", "40",

@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tegkit import constants
+from tegkit.cli import main
 from tegkit.config import (
     CM2_TO_M2,
     G_CM3_TO_KG_M3,
@@ -27,6 +28,7 @@ from tegkit.config import (
     parse_config_dict,
     parse_design,
 )
+from tegkit.device import OperatingPoint
 from tegkit.ecd import DepositState
 from tegkit.errors import (
     ConfigFieldError,
@@ -36,7 +38,7 @@ from tegkit.errors import (
     ParameterError,
 )
 from tegkit.materials import lookup_material
-from tegkit.optimize import compare_designs, sweep
+from tegkit.optimize import SweepCurve, compare_designs, sweep
 from tegkit.output import emit_comparison, emit_curve, emit_deposit_series, report_text
 
 REPO = Path(__file__).resolve().parent.parent
@@ -265,11 +267,11 @@ class TestCurveEmission:
             assert float(row["p_matched_W"]) == op.p_matched
             assert float(row["p_density_uW_cm2"]) == op.power_density / UW_CM2_TO_W_M2
 
-    def test_empty_curve_rejected(self):
+    def test_empty_curve_rejected(self, tmp_path):
+        empty = SweepCurve(parameter="leg_length", values=(), columns=((),) * 9)
         with pytest.raises(ParameterError):
-            emit_curve(
-                type("C", (), {"points": (), "parameter": "leg_length"})(), "x.csv"
-            )
+            emit_curve(empty, tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
 
     # sha256 and size of each CSV as csv.writer wrote it from the
     # point-by-point sweep, before the array kernel and one-format rows. The
@@ -293,6 +295,37 @@ class TestCurveEmission:
         path = tmp_path / "curve.csv"
         emit_curve(sweep(annealed, 40.0, parameter, lo, hi, n, spacing=spacing), path)
         assert digest(path) == captured
+
+    def test_sweep_to_csv_builds_no_operating_point(
+        self, tmp_path, capsys, annealed, monkeypatch
+    ):
+        # The columns go from the kernel to the CSV and the CLI report with no
+        # per-point record; `points` is the only place one is built.
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("an OperatingPoint was built")
+
+        monkeypatch.setattr(OperatingPoint, "__init__", refuse)
+        captured = (
+            "02ea78eda692b17af7be6068446720ae6511ee549ac4029988967654384ce48e", 46237)
+        path = tmp_path / "api.csv"
+        emit_curve(sweep(annealed, 40.0, "leg_length", 10e-6, 1e-3, 300, spacing="log"),
+                   path)
+        assert digest(path) == captured
+
+        path = tmp_path / "cli.csv"
+        argv = ["sweep", "--config", str(REPO / "configs" / "bi2te3_annealed.json"),
+                "--dt", "40", "--param", "leg_length", "--from", "10e-6",
+                "--to", "1e-3", "--points", "300", "--log", "--out", str(path)]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert digest(path) == captured
+        # as the per-point report wrote them
+        assert report["outputs"] == {
+            "best_p_density_uW_cm2": 280.4328917536062,
+            "best_param_value_si": 0.00023149866718511609,
+            "csv": str(path),
+            "rows": 300,
+        }
 
 
 class TestComparisonEmission:
