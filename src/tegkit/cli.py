@@ -1,9 +1,11 @@
 """Command line front end.
 
 Subcommands: eval, sweep, optimize, compare, calibrate, ecd simulate,
-ecd sand-time. Every run prints a machine-readable report (JSON) to stdout;
-CSV artifacts go to --out. Exit codes: 0 success, 1 configuration or
-validation error, 2 numerical failure (depletion, instability).
+ecd sand-time. Every run prints a machine-readable report (JSON) to stdout.
+The --out of eval, optimize, calibrate and ecd sand-time gets the same report
+bytes; the --out of sweep, compare and ecd simulate is a CSV artifact. Exit
+codes: 0 success, 1 configuration or validation error, 2 numerical failure
+(depletion, instability).
 """
 
 import argparse
@@ -22,8 +24,6 @@ from .output import (
     emit_deposit_series,
     operating_point_dict,
     report_text,
-    run_report,
-    write_report,
 )
 
 
@@ -59,23 +59,19 @@ def _design_dict(design) -> dict:
     }
 
 
-def _cmd_eval(args, argv):
+def _cmd_eval(args):
     cfg = parse_design(args.config)
     op = evaluate(cfg.design, args.dt)
-    report = run_report(
-        "eval",
-        argv,
-        {"config": args.config, "dt_meas_K": args.dt,
-         "design": _design_dict(cfg.design)},
-        operating_point_dict(op),
-    )
-    if args.out:
-        write_report(report, args.out)
-    return report
+    return {
+        "inputs": {"config": args.config, "dt_meas_K": args.dt,
+                   "design": _design_dict(cfg.design)},
+        "outputs": operating_point_dict(op),
+    }
 
 
-def _cmd_sweep(args, argv):
+def _cmd_sweep(args):
     cfg = parse_design(args.config)
+    spacing = "log" if args.log else "linear"
     curve = sweep(
         cfg.design,
         args.dt,
@@ -83,81 +79,63 @@ def _cmd_sweep(args, argv):
         args.lo,
         args.hi,
         args.points,
-        spacing="log" if args.log else "linear",
+        spacing=spacing,
     )
     emit_curve(curve, args.out)
     densities = curve.column("power_density")
     best_idx = densities.index(max(densities))  # the first maximum on ties
-    report = run_report(
-        "sweep",
-        argv,
-        {"config": args.config, "dt_meas_K": args.dt, "param": args.param,
-         "from_si": args.lo, "to_si": args.hi, "points": args.points,
-         "spacing": "log" if args.log else "linear"},
-        {"csv": str(args.out), "rows": len(curve.values),
-         "best_param_value_si": curve.values[best_idx],
-         "best_p_density_uW_cm2": densities[best_idx] / UW_CM2_TO_W_M2},
-    )
-    return report
+    return {
+        "inputs": {"config": args.config, "dt_meas_K": args.dt, "param": args.param,
+                   "from_si": args.lo, "to_si": args.hi, "points": args.points,
+                   "spacing": spacing},
+        "outputs": {"csv": str(args.out), "rows": len(curve.values),
+                    "best_param_value_si": curve.values[best_idx],
+                    "best_p_density_uW_cm2": densities[best_idx] / UW_CM2_TO_W_M2},
+    }
 
 
-def _cmd_optimize(args, argv):
+def _cmd_optimize(args):
     cfg = parse_design(args.config)
     result = optimize_leg_length(cfg.design, args.dt, args.lo, args.hi)
-    report = run_report(
-        "optimize",
-        argv,
-        {"config": args.config, "dt_meas_K": args.dt,
-         "bracket_si": [args.lo, args.hi]},
-        {"best_leg_length_m": result.best_value,
-         "best_leg_length_um": result.best_value / 1e-6,
-         "iterations": result.iterations,
-         "best_point": operating_point_dict(result.best_point)},
-    )
-    if args.out:
-        write_report(report, args.out)
-    return report
+    return {
+        "inputs": {"config": args.config, "dt_meas_K": args.dt,
+                   "bracket_si": [args.lo, args.hi]},
+        "outputs": {"best_leg_length_m": result.best_value,
+                    "best_leg_length_um": result.best_value / 1e-6,
+                    "iterations": result.iterations,
+                    "best_point": operating_point_dict(result.best_point)},
+    }
 
 
-def _cmd_compare(args, argv):
+def _cmd_compare(args):
     names = [Path(c).stem for c in args.config]
     if len(set(names)) != len(names):
         raise UsageError("config file stems must be distinct design names")
-    designs = {}
-    for name, path in zip(names, args.config):
-        designs[name] = parse_design(path).design
+    designs = {n: parse_design(c).design for n, c in zip(names, args.config)}
     table = compare_designs(designs, args.dt)
     ratios = table.ratios()  # before any CSV is written: it may raise
     if args.out:
         emit_comparison(table, args.out)
-    report = run_report(
-        "compare",
-        argv,
-        {"configs": list(args.config), "dt_meas_K": args.dt},
-        {"csv": str(args.out) if args.out else None,
-         "rows": {name: operating_point_dict(op) for name, op in table.rows},
-         "p_density_ratios": ratios},
-    )
-    return report
+    return {
+        "inputs": {"configs": list(args.config), "dt_meas_K": args.dt},
+        "outputs": {"csv": str(args.out) if args.out else None,
+                    "rows": {name: operating_point_dict(op) for name, op in table.rows},
+                    "p_density_ratios": ratios},
+    }
 
 
-def _cmd_calibrate(args, argv):
+def _cmd_calibrate(args):
     cfg = parse_design(args.config)
     target_si = args.target * UW_CM2_TO_W_M2
     couple = calibrate_seebeck(cfg.design, args.dt, target_si)
-    report = run_report(
-        "calibrate",
-        argv,
-        {"config": args.config, "dt_meas_K": args.dt,
-         "target_density_uW_cm2": args.target,
-         "design": _design_dict(cfg.design)},
-        {"couple_seebeck_V_K": couple,
-         "couple_seebeck_uV_K": couple / UV_K_TO_V_K,
-         "leg_seebeck_uV_K": couple / 2 / UV_K_TO_V_K},
-    )
-    if args.out:
-        write_report(report, args.out)
-    return report
+    return {
+        "inputs": {"config": args.config, "dt_meas_K": args.dt,
+                   "target_density_uW_cm2": args.target,
+                   "design": _design_dict(cfg.design)},
+        "outputs": {"couple_seebeck_V_K": couple,
+                    "couple_seebeck_uV_K": couple / UV_K_TO_V_K,
+                    "leg_seebeck_uV_K": couple / 2 / UV_K_TO_V_K},
+    }
 
 
 def _require_section(value, name: str):
@@ -166,7 +144,7 @@ def _require_section(value, name: str):
     return value
 
 
-def _cmd_ecd_simulate(args, argv):
+def _cmd_ecd_simulate(args):
     cfg = parse_design(args.config)
     plan = _require_section(cfg.pulse, "ecd.pulse")
     sim = _require_section(cfg.sim, "ecd.sim")
@@ -175,25 +153,23 @@ def _cmd_ecd_simulate(args, argv):
         sim.mold_depth, bath, plan, sim.grid, sim.dt, sim.record_every
     )
     emit_deposit_series(state, args.out)
-    report = run_report(
-        "ecd simulate",
-        argv,
-        {"config": args.config, "mold_depth_m": sim.mold_depth,
-         "grid": sim.grid, "dt_s": sim.dt,
-         "j_pulse_A_m2": plan.j_pulse, "t_pulse_s": plan.t_pulse,
-         "t_pause_s": plan.t_pause, "total_time_s": plan.total_time,
-         "c_teo2_mol_m3": bath.c_teo2, "diffusivity_m2_s": bath.diffusivity},
-        {"csv": str(args.out),
-         "thickness_um": state.thickness / 1e-6,
-         "avg_growth_rate_um_h": state.growth_rate * 3600 / 1e-6,
-         "min_surface_conc_mol_m3": state.min_surface_conc,
-         "te_to_bi": state.composition.te_to_bi if state.composition else None,
-         "duty": plan.duty},
-    )
-    return report
+    return {
+        "inputs": {"config": args.config, "mold_depth_m": sim.mold_depth,
+                   "grid": sim.grid, "dt_s": sim.dt,
+                   "j_pulse_A_m2": plan.j_pulse, "t_pulse_s": plan.t_pulse,
+                   "t_pause_s": plan.t_pause, "total_time_s": plan.total_time,
+                   "c_teo2_mol_m3": bath.c_teo2, "diffusivity_m2_s": bath.diffusivity},
+        "outputs": {"csv": str(args.out),
+                    "thickness_um": state.thickness / 1e-6,
+                    "avg_growth_rate_um_h": state.growth_rate * 3600 / 1e-6,
+                    "min_surface_conc_mol_m3": state.min_surface_conc,
+                    "te_to_bi":
+                        state.composition.te_to_bi if state.composition else None,
+                    "duty": plan.duty},
+    }
 
 
-def _cmd_ecd_sand_time(args, argv):
+def _cmd_ecd_sand_time(args):
     cfg = parse_design(args.config)
     plan = _require_section(cfg.pulse, "ecd.pulse")
     bath = cfg.bath if cfg.bath is not None else BathSpec()
@@ -205,36 +181,34 @@ def _cmd_ecd_sand_time(args, argv):
             f"t_pulse = {plan.t_pulse:g} s is not below the depletion time "
             f"{tau:g} s; the surface will deplete mid-pulse"
         )
-    report = run_report(
-        "ecd sand-time",
-        argv,
-        {"config": args.config, "j_A_m2": j,
-         "c_bulk_mol_m3": bath.c_teo2, "diffusivity_m2_s": bath.diffusivity,
-         "n_e": bath.electrons_per_formula},
-        {"sand_time_s": tau, "t_pulse_s": plan.t_pulse,
-         "margin": tau / plan.t_pulse},
-        warnings,
-    )
-    if args.out:
-        write_report(report, args.out)
-    return report
+    return {
+        "inputs": {"config": args.config, "j_A_m2": j,
+                   "c_bulk_mol_m3": bath.c_teo2, "diffusivity_m2_s": bath.diffusivity,
+                   "n_e": bath.electrons_per_formula},
+        "outputs": {"sand_time_s": tau, "t_pulse_s": plan.t_pulse,
+                    "margin": tau / plan.t_pulse},
+        "warnings": warnings,
+    }
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="tegkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=False, out_help="artifact path"):
+    def common(p, csv_help=None):
+        # --out is the CSV that csv_help names, or else a copy of the report
         p.add_argument("--config", required=True, help="design config JSON")
-        p.add_argument("--out", required=out_required, help=out_help)
+        p.add_argument("--out", required=bool(csv_help),
+                       help=csv_help or "also write the report JSON here")
+        p.set_defaults(report_out=not csv_help)
 
     p = sub.add_parser("eval", help="evaluate a design at one dt_meas")
-    common(p, out_help="also write the report JSON here")
+    common(p)
     p.add_argument("--dt", type=float, required=True, help="dt_meas in K")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("sweep", help="sweep one parameter, emit CSV")
-    common(p, out_required=True, out_help="CSV output path")
+    common(p, csv_help="CSV output path")
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--param", required=True, choices=SWEEPABLE_PARAMETERS)
     p.add_argument("--from", dest="lo", type=float, required=True,
@@ -246,7 +220,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("optimize", help="optimize leg length for power")
-    common(p, out_help="also write the report JSON here")
+    common(p)
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--from", dest="lo", type=float, required=True)
     p.add_argument("--to", dest="hi", type=float, required=True)
@@ -260,7 +234,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("calibrate", help="couple Seebeck hitting a target density")
-    common(p, out_help="also write the report JSON here")
+    common(p)
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--target", type=float, required=True,
                    help="target power density, uW/cm2")
@@ -270,11 +244,11 @@ def build_parser() -> _Parser:
     ecd_sub = p.add_subparsers(dest="ecd_command", required=True)
 
     p2 = ecd_sub.add_parser("simulate", help="run the pulse-train diffusion model")
-    common(p2, out_required=True, out_help="time-series CSV path")
+    common(p2, csv_help="time-series CSV path")
     p2.set_defaults(func=_cmd_ecd_simulate)
 
     p2 = ecd_sub.add_parser("sand-time", help="analytic depletion time")
-    common(p2, out_help="also write the report JSON here")
+    common(p2)
     p2.add_argument("--j", type=float, default=None,
                     help="current density in mA/cm2 (default: pulse current)")
     p2.set_defaults(func=_cmd_ecd_sand_time)
@@ -287,8 +261,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        report = args.func(args, argv)
-        sys.stdout.write(report_text(report))
+        name = f"ecd {args.ecd_command}" if args.command == "ecd" else args.command
+        report = {"command": name, "argv": argv, "warnings": [], **args.func(args)}
+        text = report_text(report)
+        if getattr(args, "report_out", False) and args.out:
+            Path(args.out).write_text(text)  # first: an unwritable path prints nothing
+        sys.stdout.write(text)
         return 0
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -77,9 +77,15 @@ def _number(obj: dict, key: str, path: str, default=None):
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigFieldError("expected a number", f"{path}.{key}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ConfigFieldError(
+            "must be finite, got an integer beyond the float range", f"{path}.{key}"
+        ) from None
     if not math.isfinite(value):
         raise ConfigFieldError(f"must be finite, got {value!r}", f"{path}.{key}")
-    return float(value)
+    return value
 
 
 def _positive(obj: dict, key: str, path: str, default=None) -> float:
@@ -302,11 +308,15 @@ def parse_design(path: str | Path) -> ParsedConfig:
     """Load and validate a design config file."""
     p = Path(path)
     try:
-        text = p.read_text()
+        text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigFileError(f"cannot read config file {p}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigSyntaxError(f"config file {p} is not UTF-8: {exc}") from exc
+    # ValueError: bad JSON, or an integer past Python's int-digits limit;
+    # RecursionError: nesting deeper than the decoder recurses
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigSyntaxError(f"malformed JSON in {p}: {exc}") from exc
     return parse_config_dict(data)

@@ -119,8 +119,7 @@ class DepositState:
     growth_rate: float  # m/s, average over the run
     composition: StoichiometryRatio | None  # None if bath outside the map
     min_surface_conc: float  # mol/m3, minimum seen at the deposit surface
-    depth: np.ndarray  # m, grid positions (0 = deposit surface)
-    profile: np.ndarray  # mol/m3, final concentration on `depth`
+    profile: np.ndarray  # mol/m3, final concentration on the grid, surface first
     times: np.ndarray  # s, recorded instants
     thickness_series: np.ndarray  # m, thickness at `times`
     surface_conc_series: np.ndarray  # mol/m3, surface concentration at `times`
@@ -246,7 +245,10 @@ def _step_counts(plan: PulsePlan, dt: float) -> tuple[int, int, int]:
                 f"dt = {dt!r} s"
             )
         counts.append(n)
-    return tuple(counts)
+    n_on, n_off, n_steps = counts
+    # A pulse or pause longer than the run changes no step's pulse flag once
+    # cut to the run (n_on >= 1), and keeps the period a machine-size int.
+    return min(n_on, n_steps), min(n_off, n_steps), n_steps
 
 
 def _pulse_steps(steps: np.ndarray, n_on: int, n_period: int) -> np.ndarray:
@@ -388,7 +390,6 @@ def simulate_diffusion(
         growth_rate=thickness / (n_steps * dt),
         composition=composition,
         min_surface_conc=min_surface,
-        depth=np.linspace(0.0, mold_depth, grid),
         profile=_profile(a, bath.c_teo2),
         times=steps * dt,
         thickness_series=thickness_series,

@@ -105,22 +105,6 @@ def operating_point_dict(op: OperatingPoint) -> dict:
     return out
 
 
-def run_report(
-    command: str,
-    argv: list[str],
-    inputs: dict,
-    outputs: dict,
-    warnings: list[str] | None = None,
-) -> dict:
-    return {
-        "command": command,
-        "argv": list(argv),
-        "inputs": inputs,
-        "outputs": outputs,
-        "warnings": list(warnings or []),
-    }
-
-
 def report_text(report: dict) -> str:
     """Canonical serialization; identical inputs give identical bytes.
 
@@ -132,6 +116,3 @@ def report_text(report: dict) -> str:
     except ValueError as exc:
         raise NumericalError(f"report holds a non-finite number: {exc}") from exc
 
-
-def write_report(report: dict, path: str | Path) -> None:
-    Path(path).write_text(report_text(report))

@@ -1,12 +1,17 @@
 import csv
+import hashlib
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import tegkit.cli
+import tegkit.output
 from tegkit.cli import main
+from tegkit.output import report_text
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 ANNEALED = str(CONFIGS / "bi2te3_annealed.json")
@@ -25,6 +30,10 @@ def report_of(out):
     return json.loads(out)
 
 
+def digest(data: bytes):
+    return hashlib.sha256(data).hexdigest(), len(data)
+
+
 class TestEval:
     def test_reproduces_the_reference_density(self, capsys):
         code, out, _ = run(capsys, "eval", "--config", ANNEALED, "--dt", "40")
@@ -34,20 +43,99 @@ class TestEval:
         assert density == pytest.approx(278.5, rel=5e-3)
         assert report["outputs"]["dt_gen"] == pytest.approx(21.4, abs=1e-6)
 
-    def test_out_file_matches_stdout(self, capsys, tmp_path):
-        out_path = tmp_path / "report.json"
-        code, out, _ = run(
-            capsys, "eval", "--config", ANNEALED, "--dt", "40",
-            "--out", str(out_path),
-        )
-        assert code == 0
-        assert out_path.read_text() == out
-
     def test_missing_config_exits_1(self, capsys):
         code, _, err = run(capsys, "eval", "--config", "/no/such.json",
                            "--dt", "40")
         assert code == 1
         assert "error" in err
+
+
+class TestReportOut:
+    """eval, optimize, calibrate and ecd sand-time take --out as a copy of the
+    report; main serialises it once for the file and stdout."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--config", ANNEALED, "--dt", "40"],
+        ["optimize", "--config", ANNEALED, "--dt", "40", "--from", "1e-5",
+         "--to", "1e-3"],
+        ["calibrate", "--config", ANNEALED, "--dt", "40", "--target", "278.5"],
+        ["ecd", "sand-time", "--config", ECD, "--j", "1000"],  # with a warning
+    ], ids=["eval", "optimize", "calibrate", "ecd-sand-time"])
+    def test_out_file_matches_stdout(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "report.json"
+        code, out, _ = run(capsys, *argv, "--out", str(out_path))
+        assert code == 0
+        assert out_path.read_text() == out
+
+    def test_report_is_serialised_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(report):
+            calls.append(report)
+            return report_text(report)
+
+        # every name the report serialiser is reached by
+        monkeypatch.setattr(tegkit.cli, "report_text", counted)
+        monkeypatch.setattr(tegkit.output, "report_text", counted)
+        out_path = tmp_path / "report.json"
+        code, out, _ = run(capsys, "eval", "--config", ANNEALED, "--dt", "40",
+                           "--out", str(out_path))
+        assert code == 0
+        assert out_path.read_text() == out
+        assert len(calls) == 1
+
+    def test_unwritable_out_prints_nothing(self, capsys):
+        code, out, err = run(capsys, "eval", "--config", ANNEALED, "--dt", "40",
+                             "--out", "/no/such/dir/report.json")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("i/o error: ")
+
+
+class TestCapturedBytes:
+    # sha256 and size of stdout and of the --out file of criterion 9's seven
+    # commands, each given an --out, captured when every command built and
+    # wrote its own report. Relative paths keep argv, and so the report, fixed.
+    CAPTURED = [
+        (["eval", "--config", "annealed.json", "--dt", "40", "--out", "eval.json"],
+         ("0a3b61af3d61a6c47cb00c09acbe5d6ae5e2eb26b045efa8f595817dbf54a1db", 1603),
+         ("0a3b61af3d61a6c47cb00c09acbe5d6ae5e2eb26b045efa8f595817dbf54a1db", 1603)),
+        (["sweep", "--config", "annealed.json", "--dt", "40", "--param",
+          "leg_length", "--from", "1e-5", "--to", "1e-3", "--points", "30", "--log",
+          "--out", "sweep.csv"],
+         ("7090c19a222467b2af7a8c06f092a2a1ef631f0a571f9d3359aca320448d8378", 622),
+         ("aba0811c9d3b30e20596469f98be3a72d3b8ec7dc93dd91cce1fc9c66cb4f978", 4700)),
+        (["optimize", "--config", "annealed.json", "--dt", "40", "--from", "1e-5",
+          "--to", "1e-3", "--out", "optimize.json"],
+         ("be0b7c65696a28c2ec4192dab63b9882e9108a95bd9f801b5f5944c6009ad0fc", 934),
+         ("be0b7c65696a28c2ec4192dab63b9882e9108a95bd9f801b5f5944c6009ad0fc", 934)),
+        (["compare", "--config", "cu_ni.json", "--config", "as_deposited.json",
+          "--config", "annealed.json", "--dt", "40", "--out", "compare.csv"],
+         ("c3d2f1db8158a763864c2f45c0ecf4cd99695d869734066ec44c65d9e901f1ad", 2145),
+         ("ac39a94ac7d5902c7ac47c17ba6c6431b4bafc4a59711722656b8a64aa0646fb", 481)),
+        (["calibrate", "--config", "annealed.json", "--dt", "40", "--target",
+          "278.5", "--out", "calibrate.json"],
+         ("abe44b6b49538e633d01fe5a1db6e38b148fc9fefe8fcb0a62b7e8fc524730bb", 1416),
+         ("abe44b6b49538e633d01fe5a1db6e38b148fc9fefe8fcb0a62b7e8fc524730bb", 1416)),
+        (["ecd", "simulate", "--config", "ecd.json", "--out", "ecd.csv"],
+         ("893b98e1b001060bd7831ae44f62f490f6a29aa4c4562c70947d63aee3390429", 636),
+         ("1e617e3d02de8ab7750316288003074662ce78104660b7c8afb16fb07b4f591b", 54244)),
+        (["ecd", "sand-time", "--config", "ecd.json", "--out", "sand.json"],
+         ("41ceea54a570a0aefa2091b9970c63f15cc85b314c89dfb28371a3c417719db5", 410),
+         ("41ceea54a570a0aefa2091b9970c63f15cc85b314c89dfb28371a3c417719db5", 410)),
+    ]
+
+    def test_stdout_and_out_files_match_the_captured_bytes(self, capsys, tmp_path,
+                                                           monkeypatch):
+        for name, source in [("annealed", ANNEALED), ("as_deposited", ASDEP),
+                             ("cu_ni", CUNI), ("ecd", ECD)]:
+            shutil.copy(source, tmp_path / f"{name}.json")
+        monkeypatch.chdir(tmp_path)
+        for argv, stdout, artifact in self.CAPTURED:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0, argv[0]
+            assert digest(out.encode()) == stdout, argv[0]
+            assert digest(Path(argv[-1]).read_bytes()) == artifact, argv[0]
 
 
 class TestSweep:
@@ -225,6 +313,26 @@ class TestEcdCommands:
         assert code == 1
         assert out == ""
         assert field in err and "dt" in err
+
+    def test_pause_longer_than_the_run_is_cut_to_it(self, capsys, tmp_path):
+        # 1e19 pause steps overflowed a C long in the schedule arithmetic
+        csvs = []
+        for t_pause in (1e16, 0.5):
+            doc = json.loads(Path(ECD).read_text())
+            doc["ecd"]["pulse"].update(t_pause_s=t_pause, total_time_s=0.5)
+            doc["ecd"]["sim"]["record_every"] = 1
+            cfg = tmp_path / "long_pause.json"
+            cfg.write_text(json.dumps(doc))
+            out_csv = tmp_path / f"series-{t_pause}.csv"
+            code, _, err = run(capsys, "ecd", "simulate", "--config", str(cfg),
+                               "--out", str(out_csv))
+            assert code == 0, err
+            csvs.append(out_csv.read_bytes())
+        assert csvs[0] == csvs[1]
+        # 200 pulse-on steps, then 300 paused: the thickness stops growing
+        rows = list(csv.reader(csvs[0].decode().splitlines()))[1:]
+        assert len(rows) == 501
+        assert rows[200][1] == rows[-1][1] != rows[199][1]
 
     def test_sand_time_margin(self, capsys):
         code, out, _ = run(capsys, "ecd", "sand-time", "--config", ECD)

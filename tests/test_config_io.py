@@ -170,6 +170,27 @@ class TestFileHandling:
         with pytest.raises(ConfigSyntaxError):
             parse_design(path)
 
+    @pytest.mark.parametrize("content, error, names", [
+        (b'{"design": {"leg_length_um": ' + b"1" * 5000 + b"}}",
+         ConfigSyntaxError, "bad.json"),  # past Python's int-digits limit
+        (b"[" * 100_000, ConfigSyntaxError, "bad.json"),  # deeper than recursion
+        (b"\xff\xfe{}", ConfigSyntaxError, "bad.json"),  # not UTF-8
+        (json.dumps(MINIMAL).replace('"leg_length_um": 200.0',
+                                     '"leg_length_um": ' + "1" * 401).encode(),
+         ConfigFieldError, "design.leg_length_um: must be finite"),
+    ], ids=["5000-digit-int", "deep-nesting", "not-utf8", "int-beyond-float"])
+    def test_undecodable_input_is_a_named_error(self, tmp_path, capsys, content,
+                                                error, names):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(error, match=names):
+            parse_design(path)
+        assert main(["eval", "--config", str(path), "--dt", "40"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and names in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_round_trip_through_disk(self, tmp_path):
         path = tmp_path / "ok.json"
         path.write_text(json.dumps(MINIMAL))
@@ -372,7 +393,7 @@ def series_state() -> DepositState:
     empty = np.empty(0)
     return DepositState(thickness=float(thickness[-1]), growth_rate=0.0,
                         composition=None, min_surface_conc=float(surface.min()),
-                        depth=empty, profile=empty, times=times,
+                        profile=empty, times=times,
                         thickness_series=thickness, surface_conc_series=surface)
 
 
