@@ -231,6 +231,10 @@ def diffusion_step(
 _BLOCK = 256
 #: Relative tolerance for a plan time to count as a whole number of steps.
 _SCHEDULE_RTOL = 1e-9
+#: Most steps one run may take. At about 0.4 us per step a run this long
+#: takes about 40 s; it is about twice the 15 h mold fill at dt = 1 ms. A
+#: longer run would look like a hang, so it is refused before it starts.
+MAX_STEPS = 10**8
 
 
 def _step_counts(plan: PulsePlan, dt: float) -> tuple[int, int, int]:
@@ -338,9 +342,10 @@ def simulate_diffusion(
     """Run the pulse train and return the deposit state.
 
     Explicit scheme; dt must satisfy dt <= 0.5 dx^2 / D or the run is
-    rejected, and the plan's times must be whole numbers of steps. The
-    surface concentration is never clamped: a step that would drive it
-    negative aborts with a DepletionError carrying that time.
+    rejected, the plan's times must be whole numbers of steps, and the run
+    may take at most MAX_STEPS steps. The surface concentration is never
+    clamped: a step that would drive it negative aborts with a
+    DepletionError carrying that time.
     """
     if not 0 < mold_depth < inf:
         raise ParameterError("mold_depth must be finite and > 0")
@@ -359,6 +364,11 @@ def simulate_diffusion(
             f"{dt_limit:g} s (grid {grid}, depth {mold_depth:g} m)"
         )
     n_on, n_off, n_steps = _step_counts(plan, dt)
+    if n_steps > MAX_STEPS:
+        raise ParameterError(
+            f"total_time / dt = {n_steps} steps exceeds the {MAX_STEPS} steps "
+            f"one run may take (total_time = {plan.total_time!r} s, dt = {dt!r} s)"
+        )
     import numpy as np
 
     r = bath.diffusivity * dt / (dx * dx)

@@ -32,7 +32,9 @@ SWEEPABLE_PARAMETERS = (
     "interface_resistance",
     "dt_meas",
 )
-
+#: Most points one sweep may hold. The curve keeps about ten Python floats
+#: (32 bytes each) per point, so a million points already take about 0.3 GB.
+MAX_POINTS = 10**6
 
 _POINT_FIELDS = tuple(f.name for f in fields(OperatingPoint))
 
@@ -123,7 +125,7 @@ def sweep(
     n_points: int,
     spacing: str = "linear",
 ) -> SweepCurve:
-    """Evaluate the design at n_points values of one parameter.
+    """Evaluate the design at n_points (2 to MAX_POINTS) values of one parameter.
 
     All other parameters, including dt_meas unless it is the swept one, are
     held at the supplied values. Deterministic: identical inputs give
@@ -139,6 +141,8 @@ def sweep(
     _check_dt_meas(dt_meas)
     if n_points < 2:
         raise ParameterError("n_points must be >= 2")
+    if n_points > MAX_POINTS:
+        raise ParameterError(f"n_points must be <= {MAX_POINTS}, got {n_points}")
     if spacing not in ("linear", "log"):
         raise ParameterError(f"spacing must be 'linear' or 'log', got {spacing!r}")
     if spacing == "log" and not lo > 0:

@@ -183,6 +183,20 @@ class TestSweep:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("points", ["100000000000000000000", "9223372036854775807"])
+    def test_too_many_points_is_a_validation_error(self, capsys, tmp_path, points):
+        # numpy's linspace raised ValueError and IndexError tracebacks here
+        out_csv = tmp_path / "curve.csv"
+        code, out, err = run(
+            capsys, "sweep", "--config", ANNEALED, "--dt", "40",
+            "--param", "leg_length", "--from", "1e-5", "--to", "1e-3",
+            "--points", points, "--out", str(out_csv),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: n_points must be <= 1000000, got {points}\n"
+        assert not out_csv.exists()
+
 
 class TestOptimize:
     def test_reports_the_optimal_window(self, capsys):
@@ -333,6 +347,23 @@ class TestEcdCommands:
         rows = list(csv.reader(csvs[0].decode().splitlines()))[1:]
         assert len(rows) == 501
         assert rows[200][1] == rows[-1][1] != rows[199][1]
+
+    def test_run_too_long_to_simulate_exits_1(self, capsys, tmp_path):
+        # 1e19 steps of 1 ms: the solver looped block after block, no end
+        doc = json.loads(Path(ECD).read_text())
+        doc["ecd"]["pulse"]["total_time_s"] = 1e16
+        bad = tmp_path / "long_run.json"
+        bad.write_text(json.dumps(doc))
+        out_csv = tmp_path / "x.csv"
+        code, out, err = run(capsys, "ecd", "simulate", "--config", str(bad),
+                             "--out", str(out_csv))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: total_time / dt = 10000000000000000000 steps exceeds the "
+            "100000000 steps one run may take (total_time = 1e+16 s, dt = 0.001 s)\n"
+        )
+        assert not out_csv.exists()
 
     def test_sand_time_margin(self, capsys):
         code, out, _ = run(capsys, "ecd", "sand-time", "--config", ECD)

@@ -29,7 +29,7 @@ from tegkit.config import (
     parse_design,
 )
 from tegkit.device import OperatingPoint
-from tegkit.ecd import DepositState
+from tegkit.ecd import BathSpec, DepositState
 from tegkit.errors import (
     ConfigFieldError,
     ConfigFileError,
@@ -246,6 +246,63 @@ class TestEcdParsing:
         bad["ecd"]["pulse"]["shape"] = "square"
         with pytest.raises(ConfigFieldError):
             parse_config_dict(bad)
+
+
+INLINE_P = {"seebeck_uV_K": 200.0, "resistivity_ohm_m": 1e-5,
+            "thermal_conductivity_W_mK": 1.2, "carrier": "p"}
+DELETE = object()
+
+
+class TestErrorMessages:
+    # The exact message of each error branch. Ranges are checked on the SI
+    # value, so a unit conversion that underflows to 0 or overflows to inf is
+    # refused at its key (the last four rows).
+    @pytest.mark.parametrize("section, key, value, message", [
+        (("ecd",), "pulse", [], "ecd.pulse: expected an object"),
+        (("design",), "contact_resistivity_ohm_cm2", -1.0,
+         "design.contact_resistivity_ohm_cm2: must be >= 0"),
+        (("design",), "p_material", {**INLINE_P, "carrier": 5},
+         "design.p_material.carrier: required string field"),
+        (("design",), "p_material", {**INLINE_P, "name": 3},
+         "design.p_material.name: expected a string"),
+        (("design",), "p_material", {**INLINE_P, "carrier": "q"},
+         "design.p_material: carrier must be one of "
+         "('p', 'n', 'metal', 'insulator'), got 'q'"),
+        (("design",), "n_material", DELETE,
+         "design.n_material: required field is missing"),
+        (("design",), "fill_factor", 1.5, "design.fill_factor: must be <= 1"),
+        (("ecd", "sim"), "record_every", 0,
+         "ecd.sim.record_every: must be an integer >= 1"),
+        ((), "design", DELETE, "design: required section is missing"),
+        # a unit conversion underflows to 0 or overflows to inf
+        (("design",), "leg_length_um", 1e-320, "design.leg_length_um: must be > 0"),
+        (("ecd", "pulse"), "t_pulse_ms", 5e-324, "ecd.pulse.t_pulse_ms: must be > 0"),
+        (("ecd", "pulse"), "j_pulse_mA_cm2", 1e308,
+         "ecd.pulse.j_pulse_mA_cm2: must be finite, got inf"),
+        (("ecd", "sim"), "mold_depth_um", 1e-320, "ecd.sim.mold_depth_um: must be > 0"),
+    ], ids=["non-object-section", "negative-contact-resistivity",
+            "non-string-carrier", "non-string-name", "unknown-carrier",
+            "missing-n-material", "fill-factor-above-1", "record-every-0",
+            "missing-design", "leg-length-underflow", "t-pulse-underflow",
+            "j-pulse-overflow", "mold-depth-underflow"])
+    def test_message_names_the_field(self, section, key, value, message):
+        bad = copy.deepcopy(ECD_DOC)
+        obj = bad
+        for name in section:
+            obj = obj[name]
+        if value is DELETE:
+            del obj[key]
+        else:
+            obj[key] = value
+        with pytest.raises(ConfigFieldError) as err:
+            parse_config_dict(bad)
+        assert str(err.value) == message
+
+    def test_bath_defaults_are_the_bath_records(self):
+        # the display-unit defaults of the field table give BathSpec's own
+        cfg = parse_config_dict(ECD_DOC)
+        assert cfg.bath == BathSpec(c_teo2=80.0, c_bi2o3=40.0)
+        assert type(cfg.bath.electrons_per_formula) is int
 
 
 class TestUnitConversions:

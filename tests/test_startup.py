@@ -69,6 +69,15 @@ def test_a_malformed_config_is_rejected_without_numpy(tmp_path):
         "code": 1, "numpy": False}
 
 
+def test_a_run_too_long_to_simulate_is_refused_without_numpy(tmp_path):
+    doc = json.loads(Path(ECD).read_text())
+    doc["ecd"]["pulse"]["total_time_s"] = 1e16  # 1e19 steps of 1 ms
+    bad = tmp_path / "long_run.json"
+    bad.write_text(json.dumps(doc))
+    assert probe("ecd", "simulate", "--config", str(bad), "--out",
+                 str(tmp_path / "out.csv")) == {"code": 1, "numpy": False}
+
+
 def test_a_rejected_sweep_argument_needs_no_numpy(tmp_path):
     assert probe("sweep", "--config", ANNEALED, "--dt", "40", "--param",
                  "leg_length", "--from", "1e-5", "--to", "1e-3", "--points",
