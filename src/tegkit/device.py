@@ -7,7 +7,8 @@ heat flow crosses the hot and cold faces and matched-load power scales with
 the square of the applied temperature difference.
 
 The scalar model is plain `math`; numpy is imported only inside
-`evaluate_columns`, so a process that evaluates single points never loads it.
+`evaluate_columns`, the same model at many values of one swept input, so a
+process that evaluates single points never loads it.
 """
 
 from __future__ import annotations
@@ -141,25 +142,6 @@ def calibrate_r_gen(dt_meas: float, dt_gen: float, k_if: float) -> float:
     return k_if * dt_gen / (dt_meas - dt_gen)
 
 
-def heat_flow(dt_gen: float, r_gen: float) -> float:
-    """Heat flow through the generator, W; equal at hot and cold faces."""
-    if not r_gen > 0:
-        raise ParameterError("r_gen must be > 0")
-    return dt_gen / r_gen
-
-
-def open_circuit_voltage(design: GeneratorDesign, dt_gen: float) -> float:
-    """V_oc = N * (alpha_p - alpha_n) * dt_gen."""
-    if dt_gen < 0:
-        raise ParameterError("dt_gen must be >= 0")
-    n = design.couples
-    if n < 1:
-        raise DegenerateDesignError(
-            f"couple count N = {n:.3g} < 1; not a realizable device"
-        )
-    return n * (design.p_material.seebeck - design.n_material.seebeck) * dt_gen
-
-
 def internal_resistance(design: GeneratorDesign) -> float:
     """Series resistance of all couples, ohm.
 
@@ -222,10 +204,15 @@ def evaluate(design: GeneratorDesign, dt_meas: float) -> OperatingPoint:
         raise ParameterError("dt_meas must be finite and >= 0")
     r_gen = generator_thermal_resistance(design)
     dt_gen = thermal_divider(dt_meas, r_gen, design.interface_resistance)
-    v_oc = open_circuit_voltage(design, dt_gen)
+    n = design.couples
+    if n < 1:
+        raise DegenerateDesignError(
+            f"couple count N = {n:.3g} < 1; not a realizable device"
+        )
+    v_oc = n * (design.p_material.seebeck - design.n_material.seebeck) * dt_gen
     r_i = internal_resistance(design)
     p = matched_load_power(v_oc, r_i)
-    q = heat_flow(dt_gen, r_gen)
+    q = dt_gen / r_gen
     density = p / design.device_area
     dt_sq = dt_meas * dt_meas
     eff = density / dt_sq if dt_sq > 0 else 0.0
@@ -238,17 +225,8 @@ def evaluate(design: GeneratorDesign, dt_meas: float) -> OperatingPoint:
                 f"{name} = {value:g} at dt_meas = {dt_meas:g} K: the model "
                 f"overflows the float range"
             )
-    return OperatingPoint(
-        dt_meas=dt_meas,
-        dt_gen=dt_gen,
-        v_oc=v_oc,
-        r_internal=r_i,
-        p_matched=p,
-        power_density=density,
-        q_hot=q,
-        q_cold=q,
-        eff_factor=eff,
-    )
+    # in field order, as `evaluate_columns` returns its columns
+    return OperatingPoint(dt_meas, dt_gen, v_oc, r_i, p, density, q, q, eff)
 
 
 def _square_or_inf(v: float) -> float:
@@ -259,35 +237,34 @@ def _square_or_inf(v: float) -> float:
 
 
 def evaluate_columns(
-    design: GeneratorDesign,
-    leg_length,
-    fill_factor,
-    contact_resistivity,
-    interface_resistance,
-    dt_meas,
+    design: GeneratorDesign, dt_meas: float, parameter: str, values
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """`evaluate` over arrays: one model pass for many operating points.
+    """`evaluate` at each of `values` (a 1-D float array) of one parameter.
 
-    Each of the five arguments is an array or a float; they broadcast to one
-    shape. The design supplies the areas and materials; its own values of
-    the four design fields given here are not used. Returns (valid, columns):
-    columns holds one array per `OperatingPoint` field, in field order, with
-    the same IEEE operations in the same order as `evaluate`, so every value
-    equals its scalar counterpart bit for bit. valid is False exactly where
+    `parameter` is `dt_meas` or a design field (`leg_length`, `fill_factor`,
+    `contact_resistivity`, `interface_resistance`); every other input is the
+    design's own or dt_meas. Returns (valid, columns): columns holds one
+    array per `OperatingPoint` field, in field order, with the same IEEE
+    operations in the same order as `evaluate`, so every value equals its
+    scalar counterpart bit for bit. valid is False exactly where
     `GeneratorDesign` or `evaluate` would raise for that point; the columns
     there hold whatever the formulas give.
     """
     import numpy as np
 
-    args = [
-        np.asarray(x, dtype=float)
-        for x in (leg_length, fill_factor, contact_resistivity,
-                  interface_resistance, dt_meas)
-    ]
-    shape = np.broadcast(*args).shape
-    # np.full copies each value exactly (and costs less than broadcast_arrays)
+    fixed = {
+        "leg_length": design.leg_length,
+        "fill_factor": design.fill_factor,
+        "contact_resistivity": design.contact_resistivity,
+        "interface_resistance": design.interface_resistance,
+        "dt_meas": dt_meas,
+    }
+    if parameter not in fixed:
+        raise ParameterError(f"unknown sweep parameter {parameter!r}")
+    # np.full copies each fixed value exactly
     L, F, rho_c, k_if, dt = (
-        x if x.shape == shape else np.full(shape, x) for x in args
+        values if name == parameter else np.full(values.shape, x)
+        for name, x in fixed.items()
     )
     p_mat, n_mat = design.p_material, design.n_material
     # invalid points may divide by zero; valid says which points those are
@@ -308,10 +285,10 @@ def evaluate_columns(
         # Python's float ** (libm pow) rounds some squares differently from
         # numpy's x * x, so square the list to match `evaluate` bit for bit
         try:
-            squares = [v**2 for v in v_oc.ravel().tolist()]
+            squares = [v**2 for v in v_oc.tolist()]
         except OverflowError:  # evaluate raises there; valid says so below
-            squares = [_square_or_inf(v) for v in v_oc.ravel().tolist()]
-        p = np.array(squares).reshape(shape) / (4 * r_i)
+            squares = [_square_or_inf(v) for v in v_oc.tolist()]
+        p = np.array(squares) / (4 * r_i)
         q = dt_gen / r_gen
         density = p / design.device_area
         dt_sq = dt * dt

@@ -231,19 +231,30 @@ def diffusion_step(
 _BLOCK = 256
 #: Relative tolerance for a plan time to count as a whole number of steps.
 _SCHEDULE_RTOL = 1e-9
-#: Most steps one run may take. At about 0.4 us per step a run this long
-#: takes about 40 s; it is about twice the 15 h mold fill at dt = 1 ms. A
-#: longer run would look like a hang, so it is refused before it starts.
+#: Most steps one run may take. At about 0.4 us per step, the cost near
+#: grid 151, a run this long takes about 40 s; the cost per step grows with
+#: the grid. It is about twice the 15 h mold fill at dt = 1 ms. A longer run
+#: would look like a hang, so it is refused before it starts.
 MAX_STEPS = 10**8
+#: Most grid points one run may use: dx = 30 nm in the 300 um mold. The
+#: power table of `_propagate` holds 257 x (grid - 1) floats, about 20 MB
+#: here and growing linearly with the grid, so a larger grid is refused.
+MAX_GRID = 10_001
 
 
 def _step_counts(plan: PulsePlan, dt: float) -> tuple[int, int, int]:
-    """(n_on, n_off, n_steps): the plan's times as whole numbers of steps."""
+    """(n_on, n_off, n_steps): the plan's times as whole numbers of steps.
+
+    n_steps is inf when total_time / dt overflows the float range.
+    """
     counts = []
     for name in ("t_pulse", "t_pause", "total_time"):
         t = getattr(plan, name)
-        n = round(t / dt)
-        if abs(n * dt - t) > _SCHEDULE_RTOL * t:
+        ratio = t / dt
+        # A ratio past the float range is longer than any run: a pulse or
+        # pause is cut to the run below, and MAX_STEPS refuses such a run.
+        n = round(ratio) if ratio < inf else inf
+        if n < inf and abs(n * dt - t) > _SCHEDULE_RTOL * t:
             raise ParameterError(
                 f"{name} = {t!r} s is not a whole number of time steps "
                 f"dt = {dt!r} s"
@@ -343,14 +354,16 @@ def simulate_diffusion(
 
     Explicit scheme; dt must satisfy dt <= 0.5 dx^2 / D or the run is
     rejected, the plan's times must be whole numbers of steps, and the run
-    may take at most MAX_STEPS steps. The surface concentration is never
-    clamped: a step that would drive it negative aborts with a
-    DepletionError carrying that time.
+    may take at most MAX_STEPS steps on at most MAX_GRID points. The surface
+    concentration is never clamped: a step that would drive it negative
+    aborts with a DepletionError carrying that time.
     """
     if not 0 < mold_depth < inf:
         raise ParameterError("mold_depth must be finite and > 0")
     if grid < 16:
         raise ParameterError("grid must be >= 16")
+    if grid > MAX_GRID:
+        raise ParameterError(f"grid must be <= {MAX_GRID}, got {grid}")
     if not 0 < dt < inf:
         raise ParameterError("dt must be finite and > 0")
     if record_every < 1:

@@ -1,8 +1,9 @@
 """Parameter sweeps, leg-length optimization, and design comparison.
 
-A sweep is one array pass of the model (`device.evaluate_columns`) over its
-grid, and its `SweepCurve` keeps that pass's columns: no per-point object is
-built between the kernel and the CSV. The leg-length optimum is closed form
+A sweep is one array pass of the model (`device.evaluate_columns`, given
+`_evaluate_at`'s arguments with the grid as the value), and its `SweepCurve`
+keeps that pass's columns: no per-point object is built between the kernel
+and the CSV. The leg-length optimum is closed form
 (see `optimize_leg_length`), with no search. Comparisons and the optimum
 evaluate one to a few points, so they call scalar `evaluate`, which costs
 less than an array pass there.
@@ -153,16 +154,7 @@ def sweep(
         values = np.geomspace(lo, hi, n_points)
     else:
         values = np.linspace(lo, hi, n_points)
-
-    inputs = {
-        "leg_length": design.leg_length,
-        "fill_factor": design.fill_factor,
-        "contact_resistivity": design.contact_resistivity,
-        "interface_resistance": design.interface_resistance,
-        "dt_meas": dt_meas,
-    }
-    inputs[parameter] = values
-    valid, columns = evaluate_columns(design, **inputs)
+    valid, columns = evaluate_columns(design, dt_meas, parameter, values)
     # The scalar path raises at the first point the model rejects, with the
     # error and message that point has always produced.
     for v in values[~valid].tolist():

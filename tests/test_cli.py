@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import tegkit.cli
+import tegkit.ecd
 import tegkit.output
 from tegkit.cli import main
 from tegkit.output import report_text
@@ -349,20 +350,42 @@ class TestEcdCommands:
         assert rows[200][1] == rows[-1][1] != rows[199][1]
 
     def test_run_too_long_to_simulate_exits_1(self, capsys, tmp_path):
-        # 1e19 steps of 1 ms: the solver looped block after block, no end
+        cases = [
+            # 1e19 steps of 1 ms: the solver looped block after block, no end
+            (0.001, {"total_time_s": 1e16}, "10000000000000000000", "1e+16"),
+            # total_time / dt overflows to inf
+            (1e-10, {"total_time_s": 1e300}, "inf", "1e+300"),
+            # t_pause / dt overflows; the pause is cut to the 25 s run
+            (1e-10, {"t_pause_s": 1e300}, "250000000000", "25.0"),
+        ]
+        for dt, pulse, steps, total in cases:
+            doc = json.loads(Path(ECD).read_text())
+            doc["ecd"]["pulse"].update(pulse)
+            doc["ecd"]["sim"]["dt_s"] = dt
+            bad = tmp_path / "long_run.json"
+            bad.write_text(json.dumps(doc))
+            out_csv = tmp_path / "x.csv"
+            code, out, err = run(capsys, "ecd", "simulate", "--config", str(bad),
+                                 "--out", str(out_csv))
+            assert code == 1
+            assert out == ""
+            assert err == (
+                f"error: total_time / dt = {steps} steps exceeds the 100000000 "
+                f"steps one run may take (total_time = {total} s, dt = {dt!r} s)\n"
+            )
+            assert not out_csv.exists()
+
+    def test_grid_beyond_the_bound_exits_1(self, capsys, tmp_path):
         doc = json.loads(Path(ECD).read_text())
-        doc["ecd"]["pulse"]["total_time_s"] = 1e16
-        bad = tmp_path / "long_run.json"
+        doc["ecd"]["sim"]["grid_points"] = tegkit.ecd.MAX_GRID + 1
+        bad = tmp_path / "fine_grid.json"
         bad.write_text(json.dumps(doc))
         out_csv = tmp_path / "x.csv"
         code, out, err = run(capsys, "ecd", "simulate", "--config", str(bad),
                              "--out", str(out_csv))
         assert code == 1
         assert out == ""
-        assert err == (
-            "error: total_time / dt = 10000000000000000000 steps exceeds the "
-            "100000000 steps one run may take (total_time = 1e+16 s, dt = 0.001 s)\n"
-        )
+        assert err == "error: grid must be <= 10001, got 10002\n"
         assert not out_csv.exists()
 
     def test_sand_time_margin(self, capsys):

@@ -16,11 +16,9 @@ from tegkit.device import (
     evaluate,
     evaluate_columns,
     generator_thermal_resistance,
-    heat_flow,
     internal_resistance,
     load_power,
     matched_load_power,
-    open_circuit_voltage,
     thermal_divider,
 )
 from tegkit.errors import (
@@ -148,9 +146,9 @@ class TestThermalResistance:
             matrix_material=MaterialProps("m", 0.0, 1e10, 1e-30, "insulator"))
         with pytest.raises(DegenerateDesignError, match="conduction"):
             evaluate(design, 40.0)
-        valid, _ = evaluate_columns(design, design.leg_length,
-                                    design.fill_factor, 0.0, 3.9, 40.0)
-        assert not valid
+        valid, _ = evaluate_columns(design, 40.0, "leg_length",
+                                    np.array([design.leg_length]))
+        assert valid.tolist() == [False]
 
 
 class TestThermalDivider:
@@ -207,42 +205,49 @@ class TestThermalDivider:
 
 class TestHeatFlow:
     def test_reference_value(self):
-        # 21.4 / (3.9 * 21.4 / 18.6) simplifies to 18.6 / 3.9 W.
+        # A full-fill design whose body resistance L / (lambda A_dev) splits
+        # 40 K into 21.4 K across the generator against 3.9 K/W;
+        # q = 21.4 / (3.9 * 21.4 / 18.6) simplifies to 18.6 / 3.9 W.
         r_gen = calibrate_r_gen(40.0, 21.4, 3.9)
-        assert heat_flow(21.4, r_gen) == pytest.approx(18.6 / 3.9, rel=1e-12)
-
-    def test_equilibrium(self):
-        assert heat_flow(0.0, 4.487) == 0.0
+        design = make_design(leg_length=r_gen * 1.5 * 1e-4, fill_factor=1.0,
+                             lam=1.5, k_if=3.9)
+        assert generator_thermal_resistance(design) == pytest.approx(
+            r_gen, rel=1e-15)
+        op = evaluate(design, 40.0)
+        assert op.dt_gen == pytest.approx(21.4, rel=1e-12)
+        assert op.q_hot == op.q_cold == pytest.approx(18.6 / 3.9, rel=1e-12)
 
     def test_linearity(self):
-        assert heat_flow(42.8, 4.487) == pytest.approx(
-            2 * heat_flow(21.4, 4.487), rel=1e-15
+        design = make_design()
+        assert evaluate(design, 42.8).q_hot == pytest.approx(
+            2 * evaluate(design, 21.4).q_hot, rel=1e-15
         )
 
 
 class TestVoltageAndResistance:
     def test_open_circuit_reference_value(self):
-        # N = 100 couples at 200 uV/K and 21.4 K: 0.428 V.
-        design = make_design(fill_factor=0.02, seebeck_leg=1e-4)
+        # N = 100 couples at 200 uV/K and 21.4 K: 0.428 V. With no interface
+        # resistance the whole measured difference is across the generator.
+        design = make_design(fill_factor=0.02, seebeck_leg=1e-4, k_if=0.0)
         assert design.couples == pytest.approx(100.0)
-        assert open_circuit_voltage(design, 21.4) == pytest.approx(0.428, rel=1e-12)
-
-    def test_zero_temperature_difference(self):
-        assert open_circuit_voltage(make_design(), 0.0) == 0.0
+        op = evaluate(design, 21.4)
+        assert op.dt_gen == op.dt_meas == 21.4
+        assert op.v_oc == pytest.approx(0.428, rel=1e-12)
 
     def test_swapping_legs_negates_the_voltage(self):
         design = make_design()
         swapped = dataclasses.replace(
             design, p_material=design.n_material, n_material=design.p_material
         )
-        assert open_circuit_voltage(swapped, 21.4) == pytest.approx(
-            -open_circuit_voltage(design, 21.4), rel=1e-15
+        assert evaluate(swapped, 21.4).v_oc == pytest.approx(
+            -evaluate(design, 21.4).v_oc, rel=1e-15
         )
 
     def test_fractional_couple_rejected(self):
         design = make_design(fill_factor=1e-7)
-        with pytest.raises(DegenerateDesignError):
-            open_circuit_voltage(design, 21.4)
+        with pytest.raises(DegenerateDesignError, match=(
+                r"^couple count N = 0\.0005 < 1; not a realizable device$")):
+            evaluate(design, 21.4)
 
     def test_internal_resistance_reference_value(self):
         # N = 100, rho_p = rho_n = 2e-5 ohm m, L = 200 um, A = 1e-7 m2.
@@ -375,28 +380,13 @@ class TestEvaluate:
     def test_columns_mark_an_overflow_invalid(self, design, dt, name):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no OverflowError, no RuntimeWarning
-            valid, _ = evaluate_columns(
-                design, design.leg_length, design.fill_factor,
-                design.contact_resistivity, design.interface_resistance,
-                np.array([40.0, dt]))
+            valid, _ = evaluate_columns(design, 40.0, "dt_meas",
+                                        np.array([40.0, dt]))
         assert valid.tolist() == [True, False]
 
-    @pytest.mark.parametrize("lengths, fills", [
-        (200e-6, 0.2),  # one point, 0-d
-        (np.geomspace(1e-5, 1e-3, 4)[:, None], np.linspace(0.1, 1.0, 3)),
-    ], ids=["0-d", "2-D"])
-    def test_columns_broadcast_to_any_shape(self, lengths, fills):
-        lengths, fills = np.broadcast_arrays(lengths, fills)
-        design = make_design()
-        valid, columns = evaluate_columns(design, lengths, fills, 0.0, 3.9, 40.0)
-        assert valid.shape == lengths.shape and valid.all()
-        for index in np.ndindex(lengths.shape):
-            op = evaluate(dataclasses.replace(
-                design, leg_length=float(lengths[index]),
-                fill_factor=float(fills[index])), 40.0)
-            # bit for bit, as on the sweep's 1-D grid
-            assert [float(c[index]).hex() for c in columns] == [
-                v.hex() for v in dataclasses.astuple(op)]
+    def test_columns_refuse_an_unknown_parameter(self):
+        with pytest.raises(ParameterError, match="leg_area"):
+            evaluate_columns(make_design(), 40.0, "leg_area", np.array([1e-8]))
 
     @settings(max_examples=200)
     @given(designs, st.floats(0.0, 100.0))

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,9 @@ from hypothesis import strategies as st
 from tegkit import constants
 from tegkit.config import parse_design
 from tegkit.ecd import (
+    MAX_GRID,
     BathSpec,
+    DepositState,
     PulsePlan,
     diffusion_step,
     faraday_growth_rate,
@@ -219,6 +223,8 @@ class TestDiffusionSimulation:
             simulate_diffusion(300e-6, BATH, plan(), 8, 1e-4)
         with pytest.raises(ParameterError):
             simulate_diffusion(300e-6, BATH, plan(), 64, 0.0)
+        with pytest.raises(ParameterError, match=f"grid must be <= {MAX_GRID}"):
+            simulate_diffusion(300e-6, BATH, plan(), MAX_GRID + 1, 1e-4)
 
     def test_stability_gate(self):
         # grid 301 over 300 um: dx = 1 um, bound = 0.5 dx^2 / D = 5e-4 s
@@ -241,6 +247,21 @@ class TestDiffusionSimulation:
         with pytest.raises(DepletionError) as err:
             simulate_diffusion(300e-6, ION_BATH, constant, 601, 1e-4)
         assert err.value.time_s == pytest.approx(SAND_TAU, rel=0.05)
+
+    def test_depletion_traceback_holds_no_power_table(self):
+        # The 257 x (grid - 1) power table must not outlive the solver: a
+        # kept DepletionError would otherwise hold it through its frames.
+        constant = PulsePlan(
+            t_pulse=10.0, t_pause=0.0, j_pulse=SAND_J, total_time=2.0
+        )
+        grid = 601
+        with pytest.raises(DepletionError) as err:
+            simulate_diffusion(300e-6, ION_BATH, constant, grid, 1e-4)
+        frames = [frame for frame, _ in traceback.walk_tb(err.value.__traceback__)]
+        assert any(f.f_code.co_name == "simulate_diffusion" for f in frames)
+        sizes = [value.size for frame in frames for value in frame.f_locals.values()
+                 if isinstance(value, np.ndarray)]
+        assert sizes and max(sizes) <= 4 * grid
 
     def test_depletion_estimate_is_grid_converged(self):
         constant = PulsePlan(
@@ -372,6 +393,22 @@ class TestIntegerSchedule:
         with pytest.raises(ParameterError) as err:
             simulate_diffusion(300e-6, BATH, p, 16, 0.1)
         assert field in str(err.value)
+
+    def test_pause_past_the_float_range_is_cut_to_the_run(self):
+        # 1e300 / 1e-10 overflows to inf; 10**4 steps of 1e-10 s, 100 on
+        fields = dict(t_pulse=1e-8, j_pulse=2325.0, total_time=1e-6)
+        states = [
+            simulate_diffusion(300e-6, BATH, PulsePlan(t_pause=t_pause, **fields),
+                               151, 1e-10)
+            for t_pause in (1e300, 1e-6)
+        ]
+        for field in dataclasses.fields(DepositState):
+            long, cut = (getattr(state, field.name) for state in states)
+            if isinstance(long, np.ndarray):
+                assert long.tobytes() == cut.tobytes(), field.name
+            else:
+                assert long == cut, field.name
+        assert states[0].times.size == 10**4 + 1
 
     def test_shorter_than_one_step_is_rejected(self):
         with pytest.raises(ParameterError):

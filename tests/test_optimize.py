@@ -22,9 +22,7 @@ def grid_argmax(design, dt, lo, hi, n=10_000):
     # Dense-grid oracle for the leg-length optimum, in one kernel pass;
     # TestSweepKernel pins the kernel to scalar `evaluate` bit for bit.
     grid = np.linspace(lo, hi, n)
-    valid, columns = evaluate_columns(
-        design, grid, design.fill_factor, design.contact_resistivity,
-        design.interface_resistance, dt)
+    valid, columns = evaluate_columns(design, dt, "leg_length", grid)
     assert valid.all()
     powers = OperatingPoint(*columns).p_matched
     return float(grid[int(np.argmax(powers))]), (hi - lo) / (n - 1)

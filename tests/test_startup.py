@@ -70,12 +70,16 @@ def test_a_malformed_config_is_rejected_without_numpy(tmp_path):
 
 
 def test_a_run_too_long_to_simulate_is_refused_without_numpy(tmp_path):
-    doc = json.loads(Path(ECD).read_text())
-    doc["ecd"]["pulse"]["total_time_s"] = 1e16  # 1e19 steps of 1 ms
-    bad = tmp_path / "long_run.json"
-    bad.write_text(json.dumps(doc))
-    assert probe("ecd", "simulate", "--config", str(bad), "--out",
-                 str(tmp_path / "out.csv")) == {"code": 1, "numpy": False}
+    for section, key, value in [
+        ("pulse", "total_time_s", 1e16),  # 1e19 steps of 1 ms
+        ("sim", "grid_points", 10_002),  # one more than ecd.MAX_GRID
+    ]:
+        doc = json.loads(Path(ECD).read_text())
+        doc["ecd"][section][key] = value
+        bad = tmp_path / "long_run.json"
+        bad.write_text(json.dumps(doc))
+        assert probe("ecd", "simulate", "--config", str(bad), "--out",
+                     str(tmp_path / "out.csv")) == {"code": 1, "numpy": False}
 
 
 def test_a_rejected_sweep_argument_needs_no_numpy(tmp_path):
