@@ -29,7 +29,7 @@ from tegkit.config import (
     parse_design,
 )
 from tegkit.device import OperatingPoint
-from tegkit.ecd import BathSpec, DepositState
+from tegkit.ecd import BathSpec, DepositState, PulsePlan, simulate_diffusion
 from tegkit.errors import (
     ConfigFieldError,
     ConfigFileError,
@@ -39,7 +39,13 @@ from tegkit.errors import (
 )
 from tegkit.materials import lookup_material
 from tegkit.optimize import SweepCurve, compare_designs, sweep
-from tegkit.output import emit_comparison, emit_curve, emit_deposit_series, report_text
+from tegkit.output import (
+    SERIES_BLOCK_ROWS,
+    emit_comparison,
+    emit_curve,
+    emit_deposit_series,
+    report_text,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -440,23 +446,36 @@ class TestReferenceStudy:
         assert {name: digest(tmp_path / name) for name in self.CAPTURED} == self.CAPTURED
 
 
+def deposit_state(times, thickness, surface) -> DepositState:
+    """A DepositState holding only the given series."""
+    empty = np.empty(0)
+    return DepositState(thickness=float(thickness[-1]), growth_rate=0.0,
+                        composition=None, min_surface_conc=float(np.min(surface)),
+                        profile=empty, times=np.asarray(times),
+                        thickness_series=np.asarray(thickness),
+                        surface_conc_series=np.asarray(surface))
+
+
 def series_state() -> DepositState:
     """1207 records: a regular run plus zero, subnormal, huge and inexact cells."""
     k = np.arange(1201)
     extra = [0.0, 1e-300, 5e-324, 1.2345678901234567e300, 0.1, 1 / 3]
-    times = np.concatenate([k * 1e-3, extra])
-    thickness = np.concatenate([k * 3.3e-10 / 7.0, extra])
-    surface = np.concatenate([80.0 * (1 - (k % 97) / 131.0), extra])
-    empty = np.empty(0)
-    return DepositState(thickness=float(thickness[-1]), growth_rate=0.0,
-                        composition=None, min_surface_conc=float(surface.min()),
-                        profile=empty, times=times,
-                        thickness_series=thickness, surface_conc_series=surface)
+    return deposit_state(np.concatenate([k * 1e-3, extra]),
+                         np.concatenate([k * 3.3e-10 / 7.0, extra]),
+                         np.concatenate([80.0 * (1 - (k % 97) / 131.0), extra]))
+
+
+def row_by_row_bytes(state: DepositState) -> bytes:
+    """The series CSV written one format per record."""
+    rows = zip(state.times.tolist(), (state.thickness_series / 1e-6).tolist(),
+               state.surface_conc_series.tolist())
+    return ("t_s,thickness_um,surface_conc_mol_m3\n"
+            + "".join("%.17g,%.17g,%.17g\n" % row for row in rows)).encode()
 
 
 class TestDepositSeriesEmission:
-    # sha256 and size of the series_state() CSV as csv.writer wrote it
-    # (one writerow per record) before emission became a single write.
+    # sha256 and size of the series_state() CSV as csv.writer wrote it, one
+    # writerow per record; block emission must keep these bytes.
     CAPTURED = ("9001cfa3d9e5fb6943daddc028044433cff9328757704ea67fe123c0ea450cd5",
                 67950)
 
@@ -465,6 +484,40 @@ class TestDepositSeriesEmission:
         emit_deposit_series(series_state(), path)
         data = path.read_bytes()
         assert (hashlib.sha256(data).hexdigest(), len(data)) == self.CAPTURED
+
+    def assert_row_by_row_bytes(self, state, tmp_path):
+        path = tmp_path / "series.csv"
+        emit_deposit_series(state, path)
+        data = path.read_bytes()
+        assert data == row_by_row_bytes(state)
+        return data
+
+    def test_plated_series_with_repeated_thickness(self, tmp_path):
+        # 20 pulse steps in 200: most thickness cells repeat the one before,
+        # and 12 001 records span three blocks.
+        dt = 1e-3
+        plan = PulsePlan(t_pulse=20 * dt, t_pause=180 * dt, j_pulse=300.0,
+                         total_time=12_000 * dt)
+        state = simulate_diffusion(300e-6, BathSpec(), plan, 151, dt)
+        thickness = state.thickness_series
+        assert thickness.size > 2 * SERIES_BLOCK_ROWS
+        assert np.unique(thickness).size < thickness.size / 5
+        self.assert_row_by_row_bytes(state, tmp_path)
+
+    @pytest.mark.parametrize("rows", [1, SERIES_BLOCK_ROWS, SERIES_BLOCK_ROWS + 1])
+    def test_lengths_at_the_block_edges(self, rows, tmp_path):
+        k = np.arange(rows)
+        state = deposit_state(k * 1e-3, (k // 7) * 3.3e-10 / 7.0,
+                              80.0 * (1 - (k % 97) / 131.0))
+        self.assert_row_by_row_bytes(state, tmp_path)
+
+    def test_signed_zeros_and_nan_print_apart(self, tmp_path):
+        # Equal as values, 0.0 and -0.0 differ in their bits and their cells.
+        thickness = [0.0, -0.0, float("nan"), -0.0, 0.0, float("nan"), 1e-6]
+        state = deposit_state(np.arange(7) * 1e-3, thickness, np.full(7, 80.0))
+        data = self.assert_row_by_row_bytes(state, tmp_path)
+        rows = data.decode().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["0", "-0", "nan", "-0", "0", "nan", "1"]
 
 
 class TestReportText:

@@ -15,6 +15,7 @@ from tegkit.ecd import (
     BathSpec,
     DepositState,
     PulsePlan,
+    _profile,
     diffusion_step,
     faraday_growth_rate,
     sand_time,
@@ -296,6 +297,19 @@ class TestDiffusionSimulation:
         assert np.all(state.profile >= 0)
         assert np.all(state.profile <= BATH.c_teo2 * (1 + 1e-12))
         assert np.all(np.diff(state.thickness_series) >= 0)
+
+    def test_profile_matches_the_dense_cosine_sum(self):
+        # The FFT profile against the n x n cosine basis (angles reduced
+        # exactly in integers) at grid 2001, every mode excited.
+        n = 2000
+        a = np.random.default_rng(7).uniform(-1.0, 1.0, n) * BATH.c_teo2
+        i = np.arange(n)
+        angles = (np.outer(i, 2 * i + 1) % (4 * n)) * (math.pi / (2 * n))
+        expected = BATH.c_teo2 + np.cos(angles) @ a
+        profile = _profile(a, BATH.c_teo2)
+        assert profile.shape == (n + 1,) and profile[-1] == BATH.c_teo2
+        np.testing.assert_allclose(profile[:n], expected, rtol=0,
+                                   atol=1e-11 * BATH.c_teo2)
 
     def test_deposited_thickness_follows_faraday(self):
         ten_cycles = plan(total_time=50.0)
