@@ -27,14 +27,38 @@ lambda_j = 1 - 4 r sin^2(theta_j / 2), eigenvector cos(theta_j i), with
 r = D dt / dx^2. A pulse step adds sigma = -2 dt phi / dx to node 0 alone
 (phi the surface ion flux), which is sigma / n on every mode. In modal
 coordinates each step is therefore the diagonal affine map
-a <- lambda * a + on_k sigma / n, and the surface value is sum_j a_j. Over
-a block of up to B = _BLOCK steps the surface series is one matvec against
-the power table lambda^1..lambda^B plus the convolution of the block's
-on/off pattern with g(q) = sum_j lambda_j^q; the final profile is the
-inverse cosine transform of the modal state, taken by one FFT. The results
-equal the step loop's up to rounding, depletion included: the first block
-row below zero gives the same DepletionError step. diffusion_step stays as
-the reference the tests hold this solver to.
+a <- lambda * a + on_k sigma / n, and the surface value is sum_j a_j.
+
+The pulse train is periodic, so one period of P = n_on + n_off steps is the
+affine map a <- mu * a + b with mu = lambda^P, the discrete form of the
+pulse-plating analysis of N. Ibl, Surface Technology 10 (1980) 81. Period p
+begins in a* (1 - mu^p), a* = b / (1 - mu) being the periodic steady state.
+A sweep over the phases of one period, in blocks of up to _BLOCK steps,
+gives the surface at each phase from any state at the period's start: a
+matvec against the power table lambda^1..lambda^B plus the cumulated pulse
+response sum_j lambda_j^q. Step t at phase k has the surface
+c_bulk + S*(k) - sum_j a*_j lambda_j^t, S* being the steady state's surface,
+so one sweep from a* gives S* at the recorded phases and the records every
+R steps are one power series in lambda^R, O(n) each.
+
+For r <= 1/2 the FTCS matrix is entrywise non-negative (the discrete maximum
+principle) and a pulse only removes ions, so the surface at a fixed phase
+falls from period to period. Hence the lowest surface value of a run lies
+in its last P steps, which two sweeps cover (the last full period and the
+partial one after it), and the periods holding a negative value are all
+those from the first one on: the first is found by galloping from period 0
+and bisecting, and its sweep gives the DepletionError step, the one the
+step loop depletes at. The reported minimum also covers every recorded value,
+which can come out an ulp apart from a sweep's value at the same phase.
+A run costs O(n P log M + n * records) for M periods, with no term for the
+step count: the 15 h mold fill of the shipped plan (5.4e7 steps) takes
+about 10 ms on a 2-CPU Xeon. The results equal the step loop's up to rounding, and
+diffusion_step stays as the reference the tests hold this solver to. The
+steady-state series carries a rounding error of about 2^-52 times the sum
+of |a*_j|, so a run for which that sum exceeds _STEADY_LIMIT c_bulk is
+refused with a NumericalError, unless it depletes in its first period. The
+final profile is the inverse cosine transform of the modal state, taken by
+one FFT.
 
 Only the functions that build arrays import numpy, and simulate_diffusion
 only once its arguments are accepted, so the analytic helpers (sand_time,
@@ -45,7 +69,7 @@ every rejected run need no numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, pi
+from math import gcd, inf, pi
 
 from . import constants
 from .errors import (
@@ -227,18 +251,27 @@ def diffusion_step(
     return new
 
 
-#: Steps per block of the modal propagation, the rows of its power table.
+#: Phases per block of a period sweep and records per block of the record
+#: series: the rows of their power table.
 _BLOCK = 256
+#: Largest sum of the periodic steady state's modal amplitudes, in units of
+#: c_bulk, that the period map accepts. Its surface values carry a rounding
+#: error of about 2**-52 times that sum: 1e4 keeps it near 1e-12 c_bulk.
+_STEADY_LIMIT = 1e4
 #: Relative tolerance for a plan time to count as a whole number of steps.
 _SCHEDULE_RTOL = 1e-9
-#: Most steps one run may take. At about 0.18 us per step, the cost near
-#: grid 151, a run this long takes about 20 s; the cost per step grows with
-#: the grid. It is about twice the 15 h mold fill at dt = 1 ms. A longer run
-#: would look like a hang, so it is refused before it starts.
+#: Most steps one run may take, about twice the 15 h mold fill at dt = 1 ms.
+#: A run's cost no longer grows with its step count, but its period and its
+#: record count may be as large: a run this long with one record per step
+#: builds a 100-million-row series, about 4 GB of arrays, and one with a
+#: period as long as itself sweeps every step. Until the bound is derived
+#: from the record count and the period, such a run is refused before it
+#: starts.
 MAX_STEPS = 10**8
 #: Most grid points one run may use: dx = 30 nm in the 300 um mold. The
-#: power table of `_propagate` holds 257 x (grid - 1) floats, about 20 MB
-#: here and growing linearly with the grid, so a larger grid is refused.
+#: power table of `_propagate` holds up to 257 x (grid - 1) floats, about
+#: 20 MB here, and each swept phase or record costs O(grid); a larger grid
+#: is refused.
 MAX_GRID = 10_001
 
 
@@ -274,6 +307,38 @@ def _pulse_steps(steps: np.ndarray, n_on: int, n_period: int) -> np.ndarray:
     return full * n_on + np.minimum(rest, n_on)
 
 
+def _powers(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill the rows of `out` with x**0, x**1, ... by doubling.
+
+    Each row is the product of two earlier ones, so a table of B rows takes
+    log2(B) products. The last row, which carries a state from one block to
+    the next, comes from pow instead.
+    """
+    import numpy as np
+
+    last = len(out) - 1  # >= 1
+    out[0] = 1.0
+    out[1] = x
+    done = 1
+    while done < last:
+        m = min(done, last - done)
+        np.multiply(out[1 : m + 1], out[done], out=out[done + 1 : done + 1 + m])
+        done += m
+    out[last] = x**last
+    return out
+
+
+def _decay(lam: np.ndarray, q: int) -> np.ndarray:
+    """1 - lam**q, accurate also where lam**q is within rounding of 1."""
+    import numpy as np
+
+    power = lam**q
+    out = 1.0 - power
+    near = power > 0.5
+    out[near] = -np.expm1(q * np.log(np.abs(lam[near])))
+    return out
+
+
 def _propagate(lam, source, c_bulk, n_on, n_period, n_steps, record_every):
     """Run the modal recursion a <- lam * a + on_k * source from a = 0.
 
@@ -281,43 +346,139 @@ def _propagate(lam, source, c_bulk, n_on, n_period, n_steps, record_every):
     ends, or (None, None, None, step) for one whose surface concentration
     first goes negative at `step` (1-based). The power table lives only in
     this frame, so a caller that raises DepletionError holds no large array.
+    A run of more than one period whose steady state the period map cannot
+    resolve (see _STEADY_LIMIT) raises NumericalError, unless it depletes in
+    its first period.
     """
     import numpy as np
 
-    n = lam.size
-    rows = min(_BLOCK, n_steps)
-    powers = np.empty((rows + 1, n))  # powers[k] = lam**k
-    powers[0] = 1.0
-    np.cumprod(np.broadcast_to(lam, (rows, n)), axis=0, out=powers[1:])
-    # Surface response q steps after one unit source step: sum_j lam_j**q.
-    response = powers[:rows].sum(axis=1)
-    offsets = np.arange(rows)
-    a = np.zeros(n)
-    min_surface = c_bulk
+    if n_on in (n_period, n_steps):
+        n_on = n_period = 1  # every step pulses
+    last, end = divmod(n_steps - 1, n_period)  # period and phase of the last step
+    count = n_steps // record_every  # records at steps record_every * i, i >= 1
+    rows = min(_BLOCK, n_period, n_steps)
+    table = np.empty((max(rows, min(_BLOCK, count)) + 1, lam.size))
+    _powers(lam, table[: rows + 1])
+    # cum_response[i]: surface response after i + 1 steps of a pulse.
+    cum_response = np.cumsum(table[:rows].sum(axis=1))
+
+    def sweep(a, length):
+        """(first phase, surface deviations, modal state after them) per
+        block of phases 0 .. length - 1 of a period begun in state a."""
+        for q0 in range(0, length, rows):
+            m = min(rows, length - q0)
+            dev = table[1 : m + 1] @ a
+            a = table[m] * a
+            on = min(max(n_on - q0, 0), m)  # the block's first `on` steps pulse
+            if on:
+                forced = cum_response[:m].copy()
+                forced[on:] -= cum_response[: m - on]
+                dev += source * forced
+                a += source * table[m - on : m].sum(axis=0)
+            yield q0, dev, a
+
+    def scan(a, length, picks, watch=True):
+        """Sweep phases 0 .. length - 1 from state a: (state after them,
+        lowest surface value, surface deviations at the sorted phases
+        `picks`, None), or, watching for depletion, (None, None, None,
+        phase) where the surface first goes negative."""
+        low, picked = c_bulk, []
+        for q0, dev, a in sweep(a, length):
+            if watch:
+                surface = c_bulk + dev
+                low = min(low, float(surface.min()))
+                if low < 0:
+                    return None, None, None, q0 + int(np.argmax(surface < 0))
+            lo, hi = np.searchsorted(picks, (q0, q0 + dev.size))
+            picked.append(dev[picks[lo:hi] - q0])
+        return a, low, np.concatenate(picked), None
+
+    nothing = np.empty(0, int)
+    if last == 0:  # the run ends inside its first period
+        picks = np.arange(record_every - 1, n_steps, record_every)
+        if n_steps % record_every:
+            picks = np.append(picks, end)
+        a, low, dev, below = scan(np.zeros(lam.size), n_steps, picks)
+        if below is not None:
+            return None, None, None, below + 1
+        return a, low, [c_bulk + dev], None
+
+    # One period from state a is a <- mu * a + b, mu = lam**n_period, so
+    # period p begins in a* (1 - mu**p), a* = b / (1 - mu) being the
+    # periodic steady state.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = source * lam ** (n_period - n_on) * _decay(lam, n_on) / (1.0 - lam)
+        a_star = b / _decay(lam, n_period)
+    steady_sum = float(np.abs(a_star).sum())
+    if not steady_sum <= _STEADY_LIMIT * c_bulk:
+        below = scan(np.zeros(lam.size), n_period, nothing)[3]
+        if below is not None:
+            return None, None, None, below + 1
+        raise NumericalError(
+            f"the pulse train's periodic steady state is beyond the period "
+            f"map: its modes sum to {steady_sum:.3g} mol/m3, over "
+            f"{_STEADY_LIMIT:g} times c_bulk = {c_bulk:g} mol/m3 (the mean "
+            "current drains far more than the mold holds, or dt is too short "
+            "for the slowest mode to decay in floating point)"
+        )
+
+    def start(p):
+        return a_star * _decay(lam, p * n_period)
+
+    # The surface at a fixed phase only falls from period to period, so the
+    # lowest value of the run lies in its last n_period steps, and the
+    # periods holding a negative value are all those from the first one on.
+    a, low, _, below = scan(start(last - 1), n_period, nothing)
+    clean, at = -1, last - 1  # no value of period `clean` is negative, one of `at` is
+    if below is None:
+        clean, at = last - 1, last
+        a, low_end, tail, below = scan(a, end + 1, np.array([end]))
+    if below is not None:
+        # The first depleting period: gallop from period 0, then bisect.
+        p = clean + 1
+        while p < at:
+            found = scan(start(p), n_period, nothing)[3]
+            if found is not None:
+                at, below = p, found
+                break
+            clean, p = p, 2 * p + 1
+        while at - clean > 1:
+            mid = (clean + at) // 2
+            found = scan(start(mid), n_period, nothing)[3]
+            if found is None:
+                clean = mid
+            else:
+                at, below = mid, found
+        return None, None, None, at * n_period + below + 1
+
     records = []
-    start = 0
-    while start < n_steps:
-        m = min(rows, n_steps - start)
-        # Pulse flags of steps start + m - 1 down to start, newest first.
-        on_rev = ((start + m - 1 - offsets[:m]) % n_period < n_on).astype(float)
-        # surface[k] is the surface concentration after step start + k + 1.
-        free = powers[1 : m + 1] @ a
-        if on_rev.any():
-            forced = np.convolve(on_rev[::-1], response[:m])[:m]
-            surface = c_bulk + (free + source * forced)
-            a = powers[m] * a + source * (on_rev @ powers[:m])
-        else:
-            surface = c_bulk + free
-            a = powers[m] * a
-        low = surface.min()
-        if low < 0:
-            return None, None, None, start + 1 + int(np.argmax(surface < 0))
-        min_surface = min(min_surface, float(low))
-        records.append(surface[-(start + 1) % record_every :: record_every])
-        if m == n_steps - start and n_steps % record_every:
-            records.append(surface[-1:])
-        start += m
-    return a, min_surface, records, None
+    if count:
+        # Step t at phase k has the surface deviation S*(k) - sum_j a*_j
+        # lam_j**t, S*(k) being the deviation of the steady state.
+        # Record phases repeat after n_period / gcd(n_period, record_every).
+        # A period no longer than the series, or than 4096 steps, is swept
+        # whole; a longer one up to its sorted record phases.
+        cycle = min(count, n_period // gcd(n_period, record_every))
+        phases = (np.arange(1, cycle + 1) * record_every - 1) % n_period
+        picks = (np.arange(n_period) if n_period <= max(count, 4096)
+                 else np.sort(phases))
+        steady = scan(a_star, int(picks[-1]) + 1, picks, watch=False)[2]
+        steady = steady[np.searchsorted(picks, phases)]
+        # out[i] is the surface after step record_every * (i + 1).
+        out = np.resize(steady, count)
+        rho = lam**record_every
+        powers = _powers(rho, table[: min(_BLOCK, count) + 1])
+        coef = a_star * rho
+        for i0 in range(0, count, len(powers) - 1):
+            m = min(len(powers) - 1, count - i0)
+            out[i0 : i0 + m] -= powers[:m] @ coef
+            coef *= powers[m]
+        out += c_bulk
+        records.append(out)
+    if n_steps % record_every:
+        records.append(c_bulk + tail)
+    low = min(low, low_end, *(float(r.min()) for r in records))
+    return a, low, records, None
 
 
 def _profile(a: np.ndarray, c_bulk: float) -> np.ndarray:
@@ -352,7 +513,9 @@ def simulate_diffusion(
     rejected, the plan's times must be whole numbers of steps, and the run
     may take at most MAX_STEPS steps on at most MAX_GRID points. The surface
     concentration is never clamped: a step that would drive it negative
-    aborts with a DepletionError carrying that time.
+    aborts with a DepletionError carrying that time. A pulse train whose
+    periodic steady state lies beyond _STEADY_LIMIT c_bulk, in the sum of
+    its modal amplitudes, raises NumericalError.
     """
     if not 0 < mold_depth < inf:
         raise ParameterError("mold_depth must be finite and > 0")

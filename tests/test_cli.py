@@ -119,8 +119,8 @@ class TestCapturedBytes:
          ("abe44b6b49538e633d01fe5a1db6e38b148fc9fefe8fcb0a62b7e8fc524730bb", 1416),
          ("abe44b6b49538e633d01fe5a1db6e38b148fc9fefe8fcb0a62b7e8fc524730bb", 1416)),
         (["ecd", "simulate", "--config", "ecd.json", "--out", "ecd.csv"],
-         ("893b98e1b001060bd7831ae44f62f490f6a29aa4c4562c70947d63aee3390429", 636),
-         ("1e617e3d02de8ab7750316288003074662ce78104660b7c8afb16fb07b4f591b", 54244)),
+         ("363eded0083d763e64c9f68a933cf73f96b255d8849c3a53dbcb82ab10ac4bdb", 637),
+         ("ffe1070c3ae565c322ba438a31a368d93241d6b4e0257d333360abc25ab14b4c", 54255)),
         (["ecd", "sand-time", "--config", "ecd.json", "--out", "sand.json"],
          ("41ceea54a570a0aefa2091b9970c63f15cc85b314c89dfb28371a3c417719db5", 410),
          ("41ceea54a570a0aefa2091b9970c63f15cc85b314c89dfb28371a3c417719db5", 410)),

@@ -534,3 +534,70 @@ class TestStepLoopEquivalence:
         with pytest.raises(DepletionError) as err:
             simulate_diffusion(300e-6, ION_BATH, p, grid, dt)
         assert abs(err.value.time_s - step * dt) <= dt * (1 + 1e-9)
+
+
+class TestPeriodMap:
+    """Runs of many periods, solved from the periodic steady state."""
+
+    TOL = TestStepLoopEquivalence.TOL
+
+    def test_mold_fill_matches_the_block_solver(self):
+        # The shipped plan's 15 h mold fill, 10 800 periods of 5 s: figures
+        # captured from the 256-step block solver that stepped every period.
+        cfg = parse_design(SHIPPED_ECD)
+        fill = dataclasses.replace(cfg.pulse, total_time=54_000.0)
+        state = simulate_diffusion(cfg.sim.mold_depth, cfg.bath, fill, 151, 1e-3, 5000)
+        assert state.times.size == 10_801
+        assert abs(state.min_surface_conc - 45.760719284763255) <= self.TOL
+        for i, c in [(1, 77.84185877682674), (2, 76.3239705364398),
+                     (10, 70.09190616482528), (5400, 66.99857886513712),
+                     (10_800, 66.99857886513712)]:
+            assert abs(state.surface_conc_series[i] - c) <= self.TOL, i
+        for i, c in [(0, 66.99857886513712), (10, 67.11137020356188),
+                     (75, 71.9606582122639), (149, 79.8928552095444)]:
+            assert abs(state.profile[i] - c) <= self.TOL, i
+        assert state.profile[-1] == cfg.bath.c_teo2
+
+    @pytest.mark.parametrize("record_every", [25, 2500, 5000, 7, 4999, 5001, 123_457])
+    def test_minimum_covers_every_record(self, record_every):
+        # 400 periods are about 55 time constants of the slowest mode, so
+        # the run ends in the periodic steady state, where one phase can
+        # come out an ulp apart in different periods. record_every 25, 2500
+        # and 5000 divide the 5000-step period; the others do not.
+        cfg = parse_design(SHIPPED_ECD)
+        long = dataclasses.replace(cfg.pulse, total_time=2000.0)
+        state = simulate_diffusion(cfg.sim.mold_depth, cfg.bath, long, 151, 1e-3,
+                                   record_every)
+        assert state.min_surface_conc <= state.surface_conc_series.min()
+        assert state.profile[-1] == cfg.bath.c_teo2
+
+    @pytest.mark.parametrize("j_pulse, total_time", [
+        (8000.0, 100.0), (7000.0, 100.0), (7000.0, 25.5)])
+    def test_depletes_in_a_later_period_at_the_step_the_loop_does(
+            self, j_pulse, total_time):
+        # The shipped plan between the currents at which a 40-period run and
+        # a 1-period run deplete (5.44 and 8.71 kA/m2): the surface gives
+        # out only after some periods, here at grid 31 in periods 2 and 5.
+        # The 25.5 s run ends in the period that depletes.
+        p = PulsePlan(t_pulse=0.2, t_pause=4.8, j_pulse=j_pulse, total_time=total_time)
+        step = step_loop(300e-6, BATH, p, 31, 1e-3)
+        assert isinstance(step, int) and step > 2 * 5000
+        with pytest.raises(DepletionError) as err:
+            simulate_diffusion(300e-6, BATH, p, 31, 1e-3)
+        assert abs(err.value.time_s - step * 1e-3) <= 1e-3 * (1 + 1e-9)
+
+    @pytest.mark.parametrize("depth, j_pulse", [(1e4, 0.0), (1e4, 5e8), (1.0, 1e5)])
+    def test_steady_state_beyond_the_period_map_is_refused(self, depth, j_pulse):
+        # In a 10 km column the slowest mode's lambda rounds to 1, and a
+        # 1 m column drained at 1e5 A/m2 would settle about 2e5 c_bulk below
+        # the bulk: the steady-state series would lose its digits.
+        p = equivalence_plan(2, 3, 40, j_pulse, 1.0)
+        with pytest.raises(NumericalError, match="periodic steady state"):
+            simulate_diffusion(depth, BATH, p, 16, 1.0)
+
+    def test_refused_run_still_reports_depletion_in_its_first_period(self):
+        p = equivalence_plan(2, 3, 40, 1e7, 1.0)
+        step = step_loop(1.0, BATH, p, 16, 1.0)
+        with pytest.raises(DepletionError) as err:
+            simulate_diffusion(1.0, BATH, p, 16, 1.0)
+        assert err.value.time_s == step * 1.0
