@@ -6,6 +6,9 @@ with ohmic internal resistance. No Peltier/Joule back-coupling, so the same
 heat flow crosses the hot and cold faces and matched-load power scales with
 the square of the applied temperature difference.
 
+Every square is an IEEE product (`v_oc * v_oc`), which is correctly rounded,
+so outputs do not depend on the platform's libm `pow`.
+
 The scalar model is plain `math`; numpy is imported only inside
 `evaluate_columns`, the same model at many values of one swept input, so a
 process that evaluates single points never loads it.
@@ -139,7 +142,10 @@ def calibrate_r_gen(dt_meas: float, dt_gen: float, k_if: float) -> float:
         raise CalibrationError(
             f"dt_gen = {dt_gen} K must be smaller than dt_meas = {dt_meas} K"
         )
-    return k_if * dt_gen / (dt_meas - dt_gen)
+    r_gen = k_if * dt_gen / (dt_meas - dt_gen)
+    if not 0 < r_gen < inf:
+        raise NumericalError(f"r_gen = {r_gen:g} K/W is beyond the float range")
+    return r_gen
 
 
 def internal_resistance(design: GeneratorDesign) -> float:
@@ -162,26 +168,27 @@ def load_power(v_oc: float, r_internal: float, r_load: float) -> float:
         raise ParameterError("r_internal must be > 0")
     if r_load < 0:
         raise ParameterError("r_load must be >= 0")
-    try:
-        return v_oc**2 * r_load / (r_internal + r_load) ** 2
-    except OverflowError:
+    r_sq = (r_internal + r_load) * (r_internal + r_load)
+    p = v_oc * v_oc * r_load / r_sq if r_sq > 0 else inf
+    if not p < inf:
         raise NumericalError(
-            f"load power overflows: a square is beyond the float range "
-            f"(v_oc = {v_oc:g} V)"
-        ) from None
+            f"load power: a term is beyond the float range (v_oc = {v_oc:g} V, "
+            f"r_internal = {r_internal:g} ohm, r_load = {r_load:g} ohm)"
+        )
+    return p
 
 
 def matched_load_power(v_oc: float, r_internal: float) -> float:
     """Maximum deliverable power, W: v_oc^2 / (4 r_internal)."""
     if not r_internal > 0:
         raise ParameterError("r_internal must be > 0")
-    try:
-        return v_oc**2 / (4 * r_internal)
-    except OverflowError:
+    p = v_oc * v_oc / (4 * r_internal)
+    if not p < inf:
         raise NumericalError(
-            f"p_matched overflows: v_oc^2 is beyond the float range "
-            f"(v_oc = {v_oc:g} V)"
-        ) from None
+            f"p_matched overflows: a term is beyond the float range (v_oc = "
+            f"{v_oc:g} V, r_internal = {r_internal:g} ohm)"
+        )
+    return p
 
 
 def efficiency_factor(power_density: float, dt_meas: float) -> float:
@@ -195,7 +202,10 @@ def efficiency_factor(power_density: float, dt_meas: float) -> float:
     dt_sq = dt_meas * dt_meas
     if dt_sq == 0.0:
         raise ParameterError("dt_meas too small: dt_meas^2 underflows")
-    return power_density / dt_sq
+    eff = power_density / dt_sq
+    if not abs(eff) < inf:
+        raise NumericalError(f"eff_factor = {eff:g} is beyond the float range")
+    return eff
 
 
 def evaluate(design: GeneratorDesign, dt_meas: float) -> OperatingPoint:
@@ -229,13 +239,6 @@ def evaluate(design: GeneratorDesign, dt_meas: float) -> OperatingPoint:
     return OperatingPoint(dt_meas, dt_gen, v_oc, r_i, p, density, q, q, eff)
 
 
-def _square_or_inf(v: float) -> float:
-    try:
-        return v**2
-    except OverflowError:
-        return inf
-
-
 def evaluate_columns(
     design: GeneratorDesign, dt_meas: float, parameter: str, values
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -245,10 +248,10 @@ def evaluate_columns(
     `contact_resistivity`, `interface_resistance`); every other input is the
     design's own or dt_meas. Returns (valid, columns): columns holds one
     array per `OperatingPoint` field, in field order, with the same IEEE
-    operations in the same order as `evaluate`, so every value equals its
-    scalar counterpart bit for bit. valid is False exactly where
-    `GeneratorDesign` or `evaluate` would raise for that point; the columns
-    there hold whatever the formulas give.
+    operations in the same order as `evaluate` (squares are products on
+    both), so every value equals its scalar counterpart bit for bit. valid
+    is False exactly where `GeneratorDesign` or `evaluate` would raise for
+    that point; the columns there hold whatever the formulas give.
     """
     import numpy as np
 
@@ -282,13 +285,7 @@ def evaluate_columns(
             ((p_mat.resistivity + n_mat.resistivity) * L + 4 * rho_c)
             / design.leg_area
         )
-        # Python's float ** (libm pow) rounds some squares differently from
-        # numpy's x * x, so square the list to match `evaluate` bit for bit
-        try:
-            squares = [v**2 for v in v_oc.tolist()]
-        except OverflowError:  # evaluate raises there; valid says so below
-            squares = [_square_or_inf(v) for v in v_oc.tolist()]
-        p = np.array(squares) / (4 * r_i)
+        p = v_oc * v_oc / (4 * r_i)
         q = dt_gen / r_gen
         density = p / design.device_area
         dt_sq = dt * dt

@@ -51,14 +51,18 @@ and bisecting, and its sweep gives the DepletionError step, the one the
 step loop depletes at. The reported minimum also covers every recorded value,
 which can come out an ulp apart from a sweep's value at the same phase.
 A run costs O(n P log M + n * records) for M periods, with no term for the
-step count: the 15 h mold fill of the shipped plan (5.4e7 steps) takes
-about 10 ms on a 2-CPU Xeon. The results equal the step loop's up to rounding, and
+step count. The results equal the step loop's up to rounding, and
 diffusion_step stays as the reference the tests hold this solver to. The
 steady-state series carries a rounding error of about 2^-52 times the sum
 of |a*_j|, so a run for which that sum exceeds _STEADY_LIMIT c_bulk is
 refused with a NumericalError, unless it depletes in its first period. The
 final profile is the inverse cosine transform of the modal state, taken by
 one FFT.
+
+The mold fill needs no option: it is the run whose total_time is
+time_to_thickness(mold_depth) in whole periods, 10 775 of 5 s for the shipped
+plan (5.4e7 steps, about 10 ms on a 2-CPU Xeon). By the comparison principle a
+shallower remaining mold only raises the surface, so that run bounds the fill.
 
 Only the functions that build arrays import numpy, and simulate_diffusion
 only once its arguments are accepted, so the analytic helpers (sand_time,
@@ -182,10 +186,9 @@ def sand_time(c_bulk: float, diffusivity: float, n_e: float, j: float) -> float:
                     ("n_e", n_e), ("j", j)):
         if not v > 0:
             raise ParameterError(f"{name} must be > 0")
-    try:
-        tau = pi * diffusivity * (n_e * constants.FARADAY * c_bulk) ** 2 / (4 * j**2)
-    except (OverflowError, ZeroDivisionError):
-        tau = inf
+    charge = n_e * constants.FARADAY * c_bulk
+    denominator = 4 * (j * j)
+    tau = pi * diffusivity * (charge * charge) / denominator if denominator else inf
     if not 0 < tau < inf:
         raise NumericalError(
             f"sand_time is beyond the float range (c_bulk = {c_bulk:g} mol/m3, "
@@ -261,12 +264,9 @@ _STEADY_LIMIT = 1e4
 #: Relative tolerance for a plan time to count as a whole number of steps.
 _SCHEDULE_RTOL = 1e-9
 #: Most steps one run may take, about twice the 15 h mold fill at dt = 1 ms.
-#: A run's cost no longer grows with its step count, but its period and its
-#: record count may be as large: a run this long with one record per step
-#: builds a 100-million-row series, about 4 GB of arrays, and one with a
-#: period as long as itself sweeps every step. Until the bound is derived
-#: from the record count and the period, such a run is refused before it
-#: starts.
+#: Cost no longer grows with the step count, but a run this long may record
+#: every step (a 100-million-row series, about 4 GB) or sweep a period as
+#: long as itself, so it is refused until a bound on those two replaces this.
 MAX_STEPS = 10**8
 #: Most grid points one run may use: dx = 30 nm in the 300 um mold. The
 #: power table of `_propagate` holds up to 257 x (grid - 1) floats, about
@@ -562,11 +562,8 @@ def simulate_diffusion(
     )
     thickness = float(thickness_series[-1])
     c = bath.c_bi2o3
-    composition = (
-        stoichiometry_from_bath(c)
-        if constants.BATH_C_BI2O3_MIN <= c <= constants.BATH_C_BI2O3_MAX
-        else None
-    )
+    in_map = constants.BATH_C_BI2O3_MIN <= c <= constants.BATH_C_BI2O3_MAX
+    composition = stoichiometry_from_bath(c) if in_map else None
     return DepositState(
         thickness=thickness,
         growth_rate=thickness / (n_steps * dt),

@@ -357,27 +357,32 @@ class TestCurveEmission:
             emit_curve(empty, tmp_path / "x.csv")
         assert not (tmp_path / "x.csv").exists()
 
-    # sha256 and size of each CSV as csv.writer wrote it from the
-    # point-by-point sweep, before the array kernel and one-format rows. The
-    # log leg_length sweep holds a cell whose square numpy's x * x rounds
-    # differently from Python's float ** 2.
+    # sha256 and size of each CSV, squares taken as IEEE products. The
+    # contact_resistivity sweep is still the point-by-point sweep's csv.writer
+    # output; the other four differ from it in the last digit of 3 to 14
+    # power cells, where glibc 2.36's pow(v_oc, 2) was an ulp off v_oc * v_oc.
     @pytest.mark.parametrize("parameter, lo, hi, n, spacing, captured", [
         ("leg_length", 10e-6, 1e-3, 300, "log",
-         ("02ea78eda692b17af7be6068446720ae6511ee549ac4029988967654384ce48e", 46237)),
+         ("a90032ffab647a9f45a434a913f9fd4994e2175f7764164f0ab4990daf10ccf7", 46237)),
         ("fill_factor", 0.01, 1.0, 3000, "linear",
-         ("7750faed98dbd58b96e083102bbe4a03b94548fc6bf1af467eff80d5b715af39", 452891)),
+         ("a45d2ad12d371a8ebdd0a02a1fdf1d6e67c21cb3f5e1641f7a8aa0d71718e7ab", 452895)),
         ("contact_resistivity", 0.0, 1e-8, 3000, "linear",
          ("c7105f68e137abe22d07b5fd6860c20990fab7953e7b7a505216c9d4d4907e69", 490224)),
         ("interface_resistance", 0.0, 20.0, 3000, "linear",
-         ("ecfbd203eb43b3e1c0be81a6f1eb76a58494c14171e8bc3aae37253f014accc4", 480211)),
+         ("3118d3bce37ed44f4956d28415e3b809da4ba07d488fb73c68d9e07568954cb6", 480212)),
         ("dt_meas", 0.0, 80.0, 3000, "linear",
-         ("f18d063b107de9002bfaebadb76953d4a6ee87d4c9d47d679cd8d8af01aebafc", 439632)),
+         ("96509a3cced2c2eb0fff3f55434b3958063c2b0102e602d976b00f9abd203ac9", 439632)),
     ])
     def test_bytes_match_the_captured_output(
         self, tmp_path, annealed, parameter, lo, hi, n, spacing, captured
     ):
+        curve = sweep(annealed, 40.0, parameter, lo, hi, n, spacing=spacing)
+        # each p_matched holds its row's correctly rounded square
+        for v, r, p in zip(curve.column("v_oc"), curve.column("r_internal"),
+                           curve.column("p_matched")):
+            assert p == v * v / (4 * r)
         path = tmp_path / "curve.csv"
-        emit_curve(sweep(annealed, 40.0, parameter, lo, hi, n, spacing=spacing), path)
+        emit_curve(curve, path)
         assert digest(path) == captured
 
     def test_sweep_to_csv_builds_no_operating_point(
@@ -390,7 +395,7 @@ class TestCurveEmission:
 
         monkeypatch.setattr(OperatingPoint, "__init__", refuse)
         captured = (
-            "02ea78eda692b17af7be6068446720ae6511ee549ac4029988967654384ce48e", 46237)
+            "a90032ffab647a9f45a434a913f9fd4994e2175f7764164f0ab4990daf10ccf7", 46237)
         path = tmp_path / "api.csv"
         emit_curve(sweep(annealed, 40.0, "leg_length", 10e-6, 1e-3, 300, spacing="log"),
                    path)

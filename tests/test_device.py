@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -176,6 +177,11 @@ class TestThermalDivider:
         with pytest.raises(CalibrationError):
             calibrate_r_gen(40.0, 41.0, 3.9)
 
+    def test_overflowing_calibration_is_a_numerical_error(self):
+        # k_if * dt_gen overflows to inf
+        with pytest.raises(NumericalError, match="r_gen"):
+            calibrate_r_gen(40.0, 21.4, 1e308)
+
     @settings(max_examples=200)
     @given(
         st.floats(1e-3, 1e3),
@@ -298,6 +304,18 @@ class TestPowerTransfer:
             matched_load_power(1e200, 1.0)
         with pytest.raises(NumericalError, match="load power"):
             load_power(1e200, 1.0, 1.0)
+        # a finite square over a tiny resistance overflows the quotient
+        with pytest.raises(NumericalError, match="p_matched"):
+            matched_load_power(1e150, 1e-300)
+        # (r_internal + r_load)^2 underflows to 0
+        with pytest.raises(NumericalError, match="load power"):
+            load_power(1e150, 1e-300, 1e-300)
+
+    @pytest.mark.parametrize("v", [
+        0.5544446274919765, 1.0740296698856315, 0.7473837106259238])
+    def test_matched_power_squares_correctly_rounded(self, v):
+        # values at which glibc 2.36's pow(v, 2) is an ulp off the true square
+        assert matched_load_power(v, 0.25) == float(Fraction(v) ** 2)
 
     @settings(max_examples=200)
     @given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e6))
@@ -325,6 +343,11 @@ class TestEfficiencyFactor:
     def test_zero_temperature_rejected(self):
         with pytest.raises(ParameterError):
             efficiency_factor(2.785, 0.0)
+
+    def test_overflowing_quotient_is_a_numerical_error(self):
+        # dt_meas^2 is a subnormal 1e-320, and 1 / 1e-320 overflows
+        with pytest.raises(NumericalError, match="eff_factor"):
+            efficiency_factor(1.0, 1e-160)
 
 
 class TestEvaluate:

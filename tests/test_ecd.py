@@ -139,8 +139,9 @@ SAND_C = 80.0
 SAND_D = 1e-9
 SAND_NE = 4
 SAND_J = 1000.0
-SAND_TAU = math.pi * SAND_D * (SAND_NE * constants.FARADAY * SAND_C) ** 2 / (
-    4 * SAND_J**2
+SAND_CHARGE = SAND_NE * constants.FARADAY * SAND_C
+SAND_TAU = math.pi * SAND_D * (SAND_CHARGE * SAND_CHARGE) / (
+    4 * (SAND_J * SAND_J)
 )  # = 0.74871 s
 
 
