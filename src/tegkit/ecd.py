@@ -46,9 +46,11 @@ principle) and a pulse only removes ions, so the surface at a fixed phase
 falls from period to period. Hence the lowest surface value of a run lies
 in its last P steps, which two sweeps cover (the last full period and the
 partial one after it), and the periods holding a negative value are all
-those from the first one on: the first is found by galloping from period 0
-and bisecting, and its sweep gives the DepletionError step, the one the
-step loop depletes at. The reported minimum also covers every recorded value,
+those from the first one on: the first is found by bisecting over the
+periods before the last, and its sweep gives the DepletionError step, the
+one the step loop depletes at. Any other run ends in the sweep of its final
+partial period; a run shorter than one period is that sweep alone, which
+also gives its records. The reported minimum also covers every recorded value,
 which can come out an ulp apart from a sweep's value at the same phase.
 A run costs O(n P log M + n * records) for M periods, with no term for the
 step count. The results equal the step loop's up to rounding, and
@@ -72,7 +74,7 @@ every rejected run need no numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import gcd, inf, pi
 
 from . import constants
@@ -127,16 +129,9 @@ class BathSpec:
     density: float = constants.BI2TE3_DENSITY  # kg/m3
 
     def __post_init__(self):
-        for field_name in (
-            "c_teo2",
-            "c_bi2o3",
-            "diffusivity",
-            "electrons_per_formula",
-            "molar_mass",
-            "density",
-        ):
-            if not 0 < getattr(self, field_name) < inf:
-                raise InvariantError(f"{field_name} must be finite and > 0")
+        for field in fields(self):
+            if not 0 < getattr(self, field.name) < inf:
+                raise InvariantError(f"{field.name} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -348,23 +343,32 @@ def _propagate(lam, source, c_bulk, n_on, n_period, n_steps, record_every):
     this frame, so a caller that raises DepletionError holds no large array.
     A run of more than one period whose steady state the period map cannot
     resolve (see _STEADY_LIMIT) raises NumericalError, unless it depletes in
-    its first period.
+    its first period. If the last full period holds a negative value,
+    bisection finds the first period that does; otherwise the run ends in a
+    scan of its final partial period, which for a run of one period is the
+    whole run.
     """
     import numpy as np
 
     if n_on in (n_period, n_steps):
         n_on = n_period = 1  # every step pulses
     last, end = divmod(n_steps - 1, n_period)  # period and phase of the last step
-    count = n_steps // record_every  # records at steps record_every * i, i >= 1
+    # Records at steps record_every * i, i >= 1: a power series gives them in
+    # a run of more than one period, the final scan in a run of one.
+    count = n_steps // record_every if last else 0
     rows = min(_BLOCK, n_period, n_steps)
     table = np.empty((max(rows, min(_BLOCK, count)) + 1, lam.size))
     _powers(lam, table[: rows + 1])
     # cum_response[i]: surface response after i + 1 steps of a pulse.
     cum_response = np.cumsum(table[:rows].sum(axis=1))
 
-    def sweep(a, length):
-        """(first phase, surface deviations, modal state after them) per
-        block of phases 0 .. length - 1 of a period begun in state a."""
+    def scan(a, length, picks, watch=True):
+        """Sweep phases 0 .. length - 1 of a period begun in state a, in
+        blocks of `rows`: (state after them, lowest surface value, surface
+        deviations at the sorted phases `picks`, None), or, watching for
+        depletion, (None, None, None, phase) where the surface first goes
+        negative."""
+        low, picked = c_bulk, []
         for q0 in range(0, length, rows):
             m = min(rows, length - q0)
             dev = table[1 : m + 1] @ a
@@ -375,81 +379,63 @@ def _propagate(lam, source, c_bulk, n_on, n_period, n_steps, record_every):
                 forced[on:] -= cum_response[: m - on]
                 dev += source * forced
                 a += source * table[m - on : m].sum(axis=0)
-            yield q0, dev, a
-
-    def scan(a, length, picks, watch=True):
-        """Sweep phases 0 .. length - 1 from state a: (state after them,
-        lowest surface value, surface deviations at the sorted phases
-        `picks`, None), or, watching for depletion, (None, None, None,
-        phase) where the surface first goes negative."""
-        low, picked = c_bulk, []
-        for q0, dev, a in sweep(a, length):
             if watch:
                 surface = c_bulk + dev
                 low = min(low, float(surface.min()))
                 if low < 0:
                     return None, None, None, q0 + int(np.argmax(surface < 0))
-            lo, hi = np.searchsorted(picks, (q0, q0 + dev.size))
+            lo, hi = np.searchsorted(picks, (q0, q0 + m))
             picked.append(dev[picks[lo:hi] - q0])
         return a, low, np.concatenate(picked), None
 
     nothing = np.empty(0, int)
-    if last == 0:  # the run ends inside its first period
-        picks = np.arange(record_every - 1, n_steps, record_every)
-        if n_steps % record_every:
-            picks = np.append(picks, end)
-        a, low, dev, below = scan(np.zeros(lam.size), n_steps, picks)
+    a, low = np.zeros(lam.size), c_bulk
+    if last:
+        # One period from state a is a <- mu * a + b, mu = lam**n_period, so
+        # period p begins in a* (1 - mu**p), a* = b / (1 - mu) being the
+        # periodic steady state.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b = source * lam ** (n_period - n_on) * _decay(lam, n_on) / (1.0 - lam)
+            a_star = b / _decay(lam, n_period)
+        steady_sum = float(np.abs(a_star).sum())
+        if not steady_sum <= _STEADY_LIMIT * c_bulk:
+            below = scan(a, n_period, nothing)[3]
+            if below is not None:
+                return None, None, None, below + 1
+            raise NumericalError(
+                f"the pulse train's periodic steady state is beyond the period "
+                f"map: its modes sum to {steady_sum:.3g} mol/m3, over "
+                f"{_STEADY_LIMIT:g} times c_bulk = {c_bulk:g} mol/m3 (the mean "
+                "current drains far more than the mold holds, or dt is too short "
+                "for the slowest mode to decay in floating point)"
+            )
+
+        def start(p):
+            return a_star * _decay(lam, p * n_period)
+
+        # The surface at a fixed phase only falls from period to period, so
+        # the lowest value of the run lies in its last n_period steps, and
+        # the periods holding a negative value are all those from the first
+        # one on: bisect for the first.
+        a, low, _, below = scan(start(last - 1), n_period, nothing)
         if below is not None:
-            return None, None, None, below + 1
-        return a, low, [c_bulk + dev], None
-
-    # One period from state a is a <- mu * a + b, mu = lam**n_period, so
-    # period p begins in a* (1 - mu**p), a* = b / (1 - mu) being the
-    # periodic steady state.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b = source * lam ** (n_period - n_on) * _decay(lam, n_on) / (1.0 - lam)
-        a_star = b / _decay(lam, n_period)
-    steady_sum = float(np.abs(a_star).sum())
-    if not steady_sum <= _STEADY_LIMIT * c_bulk:
-        below = scan(np.zeros(lam.size), n_period, nothing)[3]
-        if below is not None:
-            return None, None, None, below + 1
-        raise NumericalError(
-            f"the pulse train's periodic steady state is beyond the period "
-            f"map: its modes sum to {steady_sum:.3g} mol/m3, over "
-            f"{_STEADY_LIMIT:g} times c_bulk = {c_bulk:g} mol/m3 (the mean "
-            "current drains far more than the mold holds, or dt is too short "
-            "for the slowest mode to decay in floating point)"
-        )
-
-    def start(p):
-        return a_star * _decay(lam, p * n_period)
-
-    # The surface at a fixed phase only falls from period to period, so the
-    # lowest value of the run lies in its last n_period steps, and the
-    # periods holding a negative value are all those from the first one on.
-    a, low, _, below = scan(start(last - 1), n_period, nothing)
-    clean, at = -1, last - 1  # no value of period `clean` is negative, one of `at` is
-    if below is None:
-        clean, at = last - 1, last
-        a, low_end, tail, below = scan(a, end + 1, np.array([end]))
+            clean, at = -1, last - 1  # no value of period `clean` is negative, one of `at` is
+            while at - clean > 1:
+                mid = (clean + at) // 2
+                found = scan(start(mid), n_period, nothing)[3]
+                if found is None:
+                    clean = mid
+                else:
+                    at, below = mid, found
+            return None, None, None, at * n_period + below + 1
+    # The final scan picks what the power series does not give: every record
+    # of a one-period run, and the last step when no record falls on it.
+    picks = nothing if last else np.arange(record_every - 1, n_steps, record_every)
+    if n_steps % record_every:
+        picks = np.append(picks, end)
+    a, low_end, tail, below = scan(a, end + 1, picks)
     if below is not None:
-        # The first depleting period: gallop from period 0, then bisect.
-        p = clean + 1
-        while p < at:
-            found = scan(start(p), n_period, nothing)[3]
-            if found is not None:
-                at, below = p, found
-                break
-            clean, p = p, 2 * p + 1
-        while at - clean > 1:
-            mid = (clean + at) // 2
-            found = scan(start(mid), n_period, nothing)[3]
-            if found is None:
-                clean = mid
-            else:
-                at, below = mid, found
-        return None, None, None, at * n_period + below + 1
+        return None, None, None, last * n_period + below + 1
 
     records = []
     if count:
@@ -475,7 +461,7 @@ def _propagate(lam, source, c_bulk, n_on, n_period, n_steps, record_every):
             coef *= powers[m]
         out += c_bulk
         records.append(out)
-    if n_steps % record_every:
+    if tail.size:
         records.append(c_bulk + tail)
     low = min(low, low_end, *(float(r.min()) for r in records))
     return a, low, records, None

@@ -477,6 +477,8 @@ EQUIVALENCE_CASES = {
     "record_every_not_dividing_period": (61, 1e-3, 30, 97, 2000, 1500.0, 13),
     "grid_16": (16, 0.1, 3, 7, 1000, 310.0, 1),
     "long_sparse_record": (151, 1e-3, 200, 1300, 3000, 900.0, 250),
+    "pulse_across_blocks": (61, 1e-3, 600, 400, 2600, 1500.0, 7),
+    "run_within_first_period": (61, 1e-3, 300, 2000, 1100, 1500.0, 9),
 }
 
 
@@ -573,13 +575,15 @@ class TestPeriodMap:
         assert state.profile[-1] == cfg.bath.c_teo2
 
     @pytest.mark.parametrize("j_pulse, total_time", [
-        (8000.0, 100.0), (7000.0, 100.0), (7000.0, 25.5)])
+        (8000.0, 100.0), (7000.0, 100.0), (7000.0, 25.5),
+        (8000.0, 54_000.0), (7000.0, 54_000.0)])
     def test_depletes_in_a_later_period_at_the_step_the_loop_does(
             self, j_pulse, total_time):
         # The shipped plan between the currents at which a 40-period run and
         # a 1-period run deplete (5.44 and 8.71 kA/m2): the surface gives
         # out only after some periods, here at grid 31 in periods 2 and 5.
-        # The 25.5 s run ends in the period that depletes.
+        # The 25.5 s run ends in the period that depletes; the 15 h fills
+        # search 10 800 periods for it.
         p = PulsePlan(t_pulse=0.2, t_pause=4.8, j_pulse=j_pulse, total_time=total_time)
         step = step_loop(300e-6, BATH, p, 31, 1e-3)
         assert isinstance(step, int) and step > 2 * 5000
