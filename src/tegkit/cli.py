@@ -23,6 +23,7 @@ from .output import (
     emit_curve,
     emit_deposit_series,
     operating_point_dict,
+    overwrite,
     report_text,
 )
 
@@ -265,7 +266,8 @@ def main(argv=None) -> int:
         report = {"command": name, "argv": argv, "warnings": [], **args.func(args)}
         text = report_text(report)
         if getattr(args, "report_out", False) and args.out:
-            Path(args.out).write_text(text)  # first: an unwritable path prints nothing
+            with overwrite(args.out) as handle:  # first: an unwritable path prints nothing
+                handle.write(text)
         sys.stdout.write(text)
         return 0
     except NumericalError as exc:

@@ -1,10 +1,13 @@
 import copy
 import csv
 import hashlib
+import io
 import json
 import os
+import stat
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +47,7 @@ from tegkit.output import (
     emit_comparison,
     emit_curve,
     emit_deposit_series,
+    overwrite,
     report_text,
 )
 
@@ -523,6 +527,100 @@ class TestDepositSeriesEmission:
         data = self.assert_row_by_row_bytes(state, tmp_path)
         rows = data.decode().splitlines()[1:]
         assert [row.split(",")[1] for row in rows] == ["0", "-0", "nan", "-0", "0", "nan", "1"]
+
+
+class TestOverwriteInPlace:
+    """Every writer overwrites an existing file in place and cuts it to the
+    new length: the bytes are those of a write to a new path."""
+
+    @pytest.fixture(params=["curve", "comparison", "series", "report"])
+    def write(self, request, annealed, cuni):
+        if request.param == "curve":
+            curve = sweep(annealed, 40.0, "leg_length", 1e-5, 1e-3, 50)
+            return lambda path: emit_curve(curve, path)
+        if request.param == "comparison":
+            table = compare_designs({"cu_ni": cuni, "annealed": annealed}, 40.0)
+            return lambda path: emit_comparison(table, path)
+        if request.param == "series":
+            return lambda path: emit_deposit_series(series_state(), path)
+        argv = ["eval", "--config", str(REPO / "configs" / "bi2te3_annealed.json"),
+                "--dt", "40", "--out"]
+
+        def write_report(path):
+            with redirect_stdout(io.StringIO()):
+                assert main(argv + [str(path)]) == 0
+        return write_report
+
+    @staticmethod
+    def fresh_bytes(write, path):
+        """What `write` puts in `path` when no file is there (the report
+        names its own path)."""
+        write(path)
+        data = path.read_bytes()
+        path.unlink()
+        return data
+
+    @pytest.mark.parametrize("scale", [3, 0.5], ids=["over-longer", "over-shorter"])
+    def test_bytes_equal_a_fresh_write(self, write, tmp_path, scale):
+        path = tmp_path / "old"
+        fresh = self.fresh_bytes(write, path)
+        path.write_bytes(b"#" * int(scale * len(fresh)))
+        write(path)
+        assert path.read_bytes() == fresh
+
+    def test_inode_mode_and_hard_links_are_kept(self, write, tmp_path):
+        path, link = tmp_path / "old", tmp_path / "link"
+        fresh = self.fresh_bytes(write, path)
+        path.write_bytes(b"#" * (2 * len(fresh)))
+        path.chmod(0o600)
+        os.link(path, link)
+        inode = path.stat().st_ino
+        write(path)
+        after = path.stat()
+        assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (inode, 0o600)
+        assert link.read_bytes() == fresh
+
+    def test_a_new_file_gets_the_mode_open_gives(self, write, tmp_path):
+        with open(tmp_path / "reference", "w"):
+            pass
+        write(tmp_path / "new")
+        modes = [stat.S_IMODE((tmp_path / name).stat().st_mode)
+                 for name in ("new", "reference")]
+        assert modes[0] == modes[1]
+
+    def test_no_writer_truncates_at_open(self, write, tmp_path, monkeypatch):
+        flags = []
+
+        def recording_open(path, flag, *args):
+            flags.append(flag)
+            return os_open(path, flag, *args)
+
+        os_open = os.open
+        monkeypatch.setattr(os, "open", recording_open)
+        write(tmp_path / "out")
+        assert flags and not any(flag & os.O_TRUNC for flag in flags)
+
+    def test_dev_null_is_a_target(self, write):
+        write(os.devnull)
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    @pytest.mark.parametrize("mode", ["w", "wb"])
+    def test_an_exception_leaves_a_prefix_of_the_new_bytes(self, tmp_path, mode):
+        new = b"t_s,thickness_um\n" + b"0.5,1.25\n" * 400
+        path = tmp_path / "old"
+        path.write_bytes(b"#" * (3 * len(new)))
+        with pytest.raises(RuntimeError):
+            with overwrite(path, mode) as handle:
+                part = new[: len(new) // 2]
+                handle.write(part.decode() if mode == "w" else part)
+                raise RuntimeError("interrupted")
+        data = path.read_bytes()
+        assert data and new.startswith(data)
+
+    def test_an_unwritable_path_raises_oserror(self, tmp_path):
+        with pytest.raises(OSError):
+            with overwrite(tmp_path / "no" / "such.csv"):
+                pass
 
 
 class TestReportText:

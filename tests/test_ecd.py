@@ -12,6 +12,7 @@ from tegkit import constants
 from tegkit.config import parse_design
 from tegkit.ecd import (
     MAX_GRID,
+    MAX_STEPS,
     BathSpec,
     DepositState,
     PulsePlan,
@@ -606,3 +607,49 @@ class TestPeriodMap:
         with pytest.raises(DepletionError) as err:
             simulate_diffusion(1.0, BATH, p, 16, 1.0)
         assert err.value.time_s == step * 1.0
+
+
+def continuum_pulse_end_depletion(depth, bath, t_on, period, modes=10**5):
+    """Ibl's finite-layer pulse series: the depletion c_bulk - c(0) per unit
+    surface ion flux at the end of a pulse, in the periodic steady state.
+
+    u_t = D u_xx on (0, depth) with D u_x(0) = J while the pulse is on and
+    u(depth) = 0 has modes cos(k_j x), k_j = (j + 1/2) pi / depth, and
+    a_j' = -D k_j^2 a_j - 2 J / depth. At the end of the pulse each mode is
+    -(2 J / (depth D k_j^2)) (1 - e^(-D k_j^2 t_on)) / (1 - e^(-D k_j^2 T));
+    beyond `modes` the exponentials vanish and the modes sum to the tail
+    -2 J depth / (pi^2 D modes). The depletion is minus the sum of all modes.
+    """
+    d = bath.diffusivity
+    k = (np.arange(modes) + 0.5) * (math.pi / depth)
+    rate = d * k * k
+    amplitude = (2 / (depth * rate)) * np.expm1(-rate * t_on) / np.expm1(-rate * period)
+    return math.fsum(amplitude.tolist()) + 2 * depth / (math.pi**2 * d * modes)
+
+
+class TestContinuumOracle:
+    """The solver against the continuum pulse problem, not its own algebra:
+    at fixed r = D dt / dx^2 its error is O(dx^2 + dt) = O(dx^2)."""
+
+    def test_pulse_end_depletion_converges_at_second_order(self):
+        depth, t_on, t_off, j = 300e-6, 0.2, 4.8, 2325.0
+        flux = j / (BATH.electrons_per_formula * constants.FARADAY)
+        exact = continuum_pulse_end_depletion(depth, BATH, t_on, t_on + t_off)
+        # 300 periods settle the slowest mode (time constant 36 s) to 1e-18,
+        # and the run ends on the last pulse step of period 301.
+        total = 300 * (t_on + t_off) + t_on
+        errors = []
+        for grid, dt in [(76, 4e-3), (151, 1e-3), (301, 2.5e-4)]:
+            assert BATH.diffusivity * dt / (depth / (grid - 1)) ** 2 == pytest.approx(0.25)
+            n_steps = round(total / dt)
+            assert n_steps % round((t_on + t_off) / dt) == round(t_on / dt)
+            assert n_steps <= MAX_STEPS
+            state = simulate_diffusion(depth, BATH, PulsePlan(t_on, t_off, j, total),
+                                       grid, dt, record_every=n_steps)
+            assert state.times[-1] == pytest.approx(total)
+            depletion = (BATH.c_teo2 - state.surface_conc_series[-1]) / flux
+            errors.append(abs(depletion - exact) / exact)
+        # 1.54e-3, 3.86e-4 and 9.64e-5: ratios 3.99 and 4.00
+        assert errors[1] <= 5e-4
+        assert errors[0] / errors[1] == pytest.approx(4.0, abs=0.05)
+        assert errors[1] / errors[2] == pytest.approx(4.0, abs=0.05)
