@@ -14,14 +14,15 @@ import json
 from pathlib import Path
 
 from tegkit import constants
+from tegkit.config import CM2_TO_M2, OHM_CM2_TO_OHM_M2, UM2_TO_M2, UM_TO_M
 
 
 def design_section(p_name: str, n_name: str, contact_ohm_cm2: float) -> dict:
     return {
-        "leg_length_um": constants.LEG_LENGTH_REF / 1e-6,
-        "leg_area_um2": constants.LEG_AREA_REF / 1e-12,
+        "leg_length_um": constants.LEG_LENGTH_REF / UM_TO_M,
+        "leg_area_um2": constants.LEG_AREA_REF / UM2_TO_M2,
         "fill_factor": constants.FILL_FACTOR_REF,
-        "device_area_cm2": constants.DEVICE_AREA_REF / 1e-4,
+        "device_area_cm2": constants.DEVICE_AREA_REF / CM2_TO_M2,
         "p_material": p_name,
         "n_material": n_name,
         "matrix_material": "su8",
@@ -60,8 +61,8 @@ def main() -> None:
     args = parser.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
 
-    contact_semi = constants.CONTACT_RESISTIVITY_REF / 1e-4  # ohm cm2
-    contact_metal = constants.CONTACT_RESISTIVITY_METAL / 1e-4
+    contact_semi = constants.CONTACT_RESISTIVITY_REF / OHM_CM2_TO_OHM_M2
+    contact_metal = constants.CONTACT_RESISTIVITY_METAL / OHM_CM2_TO_OHM_M2
 
     files = {
         "bi2te3_annealed.json": {

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .config import MA_CM2_TO_A_M2, UV_K_TO_V_K, UW_CM2_TO_W_M2, parse_design
 from .device import calibrate_seebeck, evaluate
-from .ecd import BathSpec, sand_time, simulate_diffusion
+from .ecd import sand_time, simulate_diffusion
 from .errors import ConfigFieldError, NumericalError, TegkitError, UsageError
 from .materials import MaterialProps
 from .optimize import SWEEPABLE_PARAMETERS, compare_designs, optimize_leg_length, sweep
@@ -149,7 +149,7 @@ def _cmd_ecd_simulate(args):
     cfg = parse_design(args.config)
     plan = _require_section(cfg.pulse, "ecd.pulse")
     sim = _require_section(cfg.sim, "ecd.sim")
-    bath = cfg.bath if cfg.bath is not None else BathSpec()
+    bath = cfg.bath
     state = simulate_diffusion(
         sim.mold_depth, bath, plan, sim.grid, sim.dt, sim.record_every
     )
@@ -173,7 +173,7 @@ def _cmd_ecd_simulate(args):
 def _cmd_ecd_sand_time(args):
     cfg = parse_design(args.config)
     plan = _require_section(cfg.pulse, "ecd.pulse")
-    bath = cfg.bath if cfg.bath is not None else BathSpec()
+    bath = cfg.bath
     j = args.j * MA_CM2_TO_A_M2 if args.j is not None else plan.j_pulse
     tau = sand_time(bath.c_teo2, bath.diffusivity, bath.electrons_per_formula, j)
     warnings = []

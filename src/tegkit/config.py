@@ -7,10 +7,10 @@ the range. A number is converted to SI before its finite and range checks,
 so a conversion that underflows to 0 or overflows to inf is refused too.
 Unknown keys are rejected, JSON NaN and Infinity are refused, and every
 diagnostic names the offending field path. Defaults apply only to
-device_area_cm2 (1), the bath's diffusivity_m2_s (1e-9),
-electrons_per_formula (18), molar_mass_g_mol (800.76) and density_g_cm3
-(7.7), an inline material's name ("inline") and an insulator's
-seebeck_uV_K (0), and record_every (1).
+device_area_cm2 (1), the bath's diffusivity_m2_s, electrons_per_formula,
+molar_mass_g_mol and density_g_cm3 and record_every (those of BathSpec and
+SimSettings), an inline material's name ("inline") and an insulator's
+seebeck_uV_K (0). An ecd section without a bath gets the standard BathSpec().
 """
 
 import json
@@ -34,9 +34,7 @@ OHM_CM2_TO_OHM_M2 = 1e-4
 UV_K_TO_V_K = 1e-6
 G_MOL_TO_KG_MOL = 1e-3
 G_CM3_TO_KG_M3 = 1e3
-# Factor of a key already in SI. An int, so that a float value is unchanged
-# and an int default (electrons_per_formula's 18) stays an int in reports.
-_SI = 1
+_SI = 1.0  # factor of a key already in SI
 
 
 @dataclass(frozen=True)
@@ -90,12 +88,12 @@ def _count(least: int):
 
 
 # Field tables: config key, in checking order -> (record field, display-to-SI
-# factor, default in display units or None if required, check on the SI value).
+# factor, default in SI or None if required, check on the SI value).
 _DESIGN = {
     "fill_factor": ("fill_factor", _SI, None, _fraction),
     "leg_length_um": ("leg_length", UM_TO_M, None, _positive),
     "leg_area_um2": ("leg_area", UM2_TO_M2, None, _positive),
-    "device_area_cm2": ("device_area", CM2_TO_M2, 1.0, _positive),
+    "device_area_cm2": ("device_area", CM2_TO_M2, CM2_TO_M2, _positive),
     "contact_resistivity_ohm_cm2": (
         "contact_resistivity", OHM_CM2_TO_OHM_M2, None, _nonnegative,
     ),
@@ -117,15 +115,15 @@ _PULSE = {
 _BATH = {
     "c_teo2_mol_m3": ("c_teo2", _SI, None, _positive),
     "c_bi2o3_mol_m3": ("c_bi2o3", _SI, None, _positive),
-    # Transport and bulk Bi2Te3 data: BathSpec's defaults in display units.
-    "diffusivity_m2_s": ("diffusivity", _SI, 1e-9, _positive),
-    "electrons_per_formula": ("electrons_per_formula", _SI, 18, _positive),
-    "molar_mass_g_mol": ("molar_mass", G_MOL_TO_KG_MOL, 800.76, _positive),
-    "density_g_cm3": ("density", G_CM3_TO_KG_M3, 7.7, _positive),
+    "diffusivity_m2_s": ("diffusivity", _SI, BathSpec.diffusivity, _positive),
+    "electrons_per_formula": ("electrons_per_formula", _SI,
+                              BathSpec.electrons_per_formula, _positive),
+    "molar_mass_g_mol": ("molar_mass", G_MOL_TO_KG_MOL, BathSpec.molar_mass, _positive),
+    "density_g_cm3": ("density", G_CM3_TO_KG_M3, BathSpec.density, _positive),
 }
 _SIM = {
     "grid_points": ("grid", _SI, None, _count(16)),
-    "record_every": ("record_every", _SI, 1, _count(1)),
+    "record_every": ("record_every", _SI, SimSettings.record_every, _count(1)),
     "mold_depth_um": ("mold_depth", UM_TO_M, None, _positive),
     "dt_s": ("dt", _SI, None, _positive),
 }
@@ -168,7 +166,7 @@ def _read_fields(obj: dict, table: dict, path: str) -> dict:
         elif default is None:
             raise ConfigFieldError("required field is missing", where)
         else:
-            value = default * factor
+            value = default
         if not math.isfinite(value):
             raise ConfigFieldError(f"must be finite, got {value!r}", where)
         fields[field] = check(value, where)
@@ -243,6 +241,7 @@ def parse_config_dict(data: dict) -> ParsedConfig:
     if "ecd" in root:
         ecd_obj = _expect_mapping(root["ecd"], "ecd")
         _reject_unknown(ecd_obj, _ECD, "ecd")
+        records["bath"] = BathSpec()  # the standard bath, unless one is given
         for name, (record, table) in _ECD.items():
             if name in ecd_obj:
                 path = f"ecd.{name}"

@@ -337,16 +337,17 @@ def _decay(lam: np.ndarray, q: int) -> np.ndarray:
 def _propagate(lam, source, c_bulk, n_on, n_period, n_steps, record_every):
     """Run the modal recursion a <- lam * a + on_k * source from a = 0.
 
-    Returns (a, min_surface, recorded surface values, None) for a run that
-    ends, or (None, None, None, step) for one whose surface concentration
-    first goes negative at `step` (1-based). The power table lives only in
-    this frame, so a caller that raises DepletionError holds no large array.
-    A run of more than one period whose steady state the period map cannot
-    resolve (see _STEADY_LIMIT) raises NumericalError, unless it depletes in
-    its first period. If the last full period holds a negative value,
-    bisection finds the first period that does; otherwise the run ends in a
-    scan of its final partial period, which for a run of one period is the
-    whole run.
+    Returns (a, min_surface, series, None) for a run that ends, `series`
+    being the surface concentration at steps 0, R, 2R, ... (R = record_every)
+    and at the last step, or (None, None, None, step) for one whose surface
+    concentration first goes negative at `step` (1-based). The power table
+    lives only in this frame, so a caller that raises DepletionError holds no
+    large array. A run of more than one period whose steady state the period
+    map cannot resolve (see _STEADY_LIMIT) raises NumericalError, unless it
+    depletes in its first period. If the last full period holds a negative
+    value, bisection finds the first period that does; otherwise the run ends
+    in a scan of its final partial period, which for a run of one period is
+    the whole run.
     """
     import numpy as np
 
@@ -357,6 +358,7 @@ def _propagate(lam, source, c_bulk, n_on, n_period, n_steps, record_every):
     # a run of more than one period, the final scan in a run of one.
     count = n_steps // record_every if last else 0
     rows = min(_BLOCK, n_period, n_steps)
+    # The record series reuses this table; its own would add up to 20 MB at MAX_GRID.
     table = np.empty((max(rows, min(_BLOCK, count)) + 1, lam.size))
     _powers(lam, table[: rows + 1])
     # cum_response[i]: surface response after i + 1 steps of a pulse.
@@ -437,7 +439,8 @@ def _propagate(lam, source, c_bulk, n_on, n_period, n_steps, record_every):
     if below is not None:
         return None, None, None, last * n_period + below + 1
 
-    records = []
+    series = np.full(1 + count + tail.size, c_bulk)
+    series[1 + count :] += tail
     if count:
         # Step t at phase k has the surface deviation S*(k) - sum_j a*_j
         # lam_j**t, S*(k) being the deviation of the steady state.
@@ -450,21 +453,17 @@ def _propagate(lam, source, c_bulk, n_on, n_period, n_steps, record_every):
                  else np.sort(phases))
         steady = scan(a_star, int(picks[-1]) + 1, picks, watch=False)[2]
         steady = steady[np.searchsorted(picks, phases)]
-        # out[i] is the surface after step record_every * (i + 1).
-        out = np.resize(steady, count)
+        # series[i] is the surface after step record_every * i.
+        series[1 : count + 1] = np.resize(steady, count)
         rho = lam**record_every
         powers = _powers(rho, table[: min(_BLOCK, count) + 1])
         coef = a_star * rho
-        for i0 in range(0, count, len(powers) - 1):
-            m = min(len(powers) - 1, count - i0)
-            out[i0 : i0 + m] -= powers[:m] @ coef
+        for i0 in range(1, count + 1, len(powers) - 1):
+            m = min(len(powers) - 1, count + 1 - i0)
+            series[i0 : i0 + m] -= powers[:m] @ coef
             coef *= powers[m]
-        out += c_bulk
-        records.append(out)
-    if tail.size:
-        records.append(c_bulk + tail)
-    low = min(low, low_end, *(float(r.min()) for r in records))
-    return a, low, records, None
+        series[1 : count + 1] += c_bulk
+    return a, min(low, low_end, float(series.min())), series, None
 
 
 def _profile(a: np.ndarray, c_bulk: float) -> np.ndarray:
@@ -534,7 +533,7 @@ def simulate_diffusion(
     lam = 1.0 - 4.0 * r * np.sin((np.arange(n) + 0.5) * (pi / (2 * n))) ** 2
     consumption = plan.j_pulse / (bath.electrons_per_formula * constants.FARADAY)
     source = -2 * dt * consumption / dx / n
-    a, min_surface, records, depleted = _propagate(
+    a, min_surface, series, depleted = _propagate(
         lam, source, bath.c_teo2, n_on, n_on + n_off, n_steps, record_every
     )
     if depleted is not None:
@@ -547,9 +546,10 @@ def simulate_diffusion(
         faraday_growth_rate(plan.j_pulse, bath) * dt
     )
     thickness = float(thickness_series[-1])
-    c = bath.c_bi2o3
-    in_map = constants.BATH_C_BI2O3_MIN <= c <= constants.BATH_C_BI2O3_MAX
-    composition = stoichiometry_from_bath(c) if in_map else None
+    try:
+        composition = stoichiometry_from_bath(bath.c_bi2o3)
+    except ExtrapolationError:
+        composition = None
     return DepositState(
         thickness=thickness,
         growth_rate=thickness / (n_steps * dt),
@@ -558,5 +558,5 @@ def simulate_diffusion(
         profile=_profile(a, bath.c_teo2),
         times=steps * dt,
         thickness_series=thickness_series,
-        surface_conc_series=np.concatenate([[bath.c_teo2], *records]),
+        surface_conc_series=series,
     )

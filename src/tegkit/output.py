@@ -1,7 +1,7 @@
 """CSV artifacts and machine-readable run reports.
 
-Numeric CSV cells are written with 17 significant digits so a reader
-recovers the exact binary values; emission is deterministic byte for byte.
+All three CSV writers format numeric cells as `%.17g` so a reader recovers
+the exact binary values; emission is deterministic byte for byte.
 A deposit series is written in blocks of rows, one format and one write per
 block, with the same bytes as one row at a time; a sweep curve is written
 row by row, which is already at the cost of its 17-digit cells.
@@ -71,21 +71,6 @@ def overwrite(path: str | Path, mode: str = "w", **kwargs):
                         os.ftruncate(fd, end)
 
 
-def fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _point_cells(op: OperatingPoint) -> list[str]:
-    return [
-        fmt(op.dt_gen),
-        fmt(op.v_oc),
-        fmt(op.r_internal),
-        fmt(op.p_matched),
-        fmt(op.power_density / UW_CM2_TO_W_M2),
-        fmt(op.eff_factor / UW_CM2_TO_W_M2),
-    ]
-
-
 def emit_curve(curve: SweepCurve, path: str | Path) -> None:
     """Write a sweep curve as plot-ready CSV (one row per parameter value)."""
     if not curve.values:
@@ -115,7 +100,9 @@ def emit_comparison(table: ComparisonTable, path: str | Path) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(COMPARE_COLUMNS)
         for name, op in table.rows:
-            writer.writerow([name] + _point_cells(op))
+            writer.writerow([name] + ["%.17g" % x for x in (
+                op.dt_gen, op.v_oc, op.r_internal, op.p_matched,
+                op.power_density / UW_CM2_TO_W_M2, op.eff_factor / UW_CM2_TO_W_M2)])
 
 
 #: Rows per block of a deposit series: one format and one write per block,

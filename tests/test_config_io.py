@@ -309,10 +309,15 @@ class TestErrorMessages:
         assert str(err.value) == message
 
     def test_bath_defaults_are_the_bath_records(self):
-        # the display-unit defaults of the field table give BathSpec's own
+        # the field table's defaults are BathSpec's and SimSettings' own, and
+        # an ecd section without a bath gets the standard bath
         cfg = parse_config_dict(ECD_DOC)
         assert cfg.bath == BathSpec(c_teo2=80.0, c_bi2o3=40.0)
         assert type(cfg.bath.electrons_per_formula) is int
+        assert cfg.sim.record_every == 1 and type(cfg.sim.record_every) is int
+        no_bath = copy.deepcopy(ECD_DOC)
+        del no_bath["ecd"]["bath"]
+        assert parse_config_dict(no_bath).bath == BathSpec()
 
 
 class TestUnitConversions:

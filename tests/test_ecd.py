@@ -334,6 +334,15 @@ class TestDiffusionSimulation:
         rich = BathSpec(c_bi2o3=100.0)
         state = simulate_diffusion(300e-6, rich, plan(total_time=0.5), 64, 1e-3)
         assert state.composition is None
+        # the solver's window is the map's, inclusive at both ends
+        for c_bi2o3, te_to_bi in ((20.0, 2.1), (60.0, 0.8), (19.9, None),
+                                  (60.1, None)):
+            state = simulate_diffusion(300e-6, BathSpec(c_bi2o3=c_bi2o3),
+                                       plan(total_time=0.5), 64, 1e-3)
+            if te_to_bi is None:
+                assert state.composition is None
+            else:
+                assert state.composition.te_to_bi == pytest.approx(te_to_bi)
 
 
 class TestDiffusionStepCore:
