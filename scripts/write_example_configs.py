@@ -43,7 +43,7 @@ def ecd_section() -> dict:
         },
         "bath": {
             "c_teo2_mol_m3": constants.BATH_C_TEO2,
-            "c_bi2o3_mol_m3": 40.0,
+            "c_bi2o3_mol_m3": constants.BATH_C_BI2O3,
             "diffusivity_m2_s": constants.DEFAULT_DIFFUSIVITY,
         },
         "sim": {

@@ -47,9 +47,10 @@ BI2TE3_ELECTRONS_PER_FORMULA = 18  # 2 Bi x 3e + 3 Te x 4e
 TE_ION_ELECTRONS = 4  # HTeO2+ + 3 H+ + 4 e- -> Te + 2 H2O
 DEFAULT_DIFFUSIVITY = 1.0e-9  # m2/s, typical aqueous ion
 
-# Electrolyte anchors: Te ion concentration of the standard bath, and the
-# Bi2O3 window over which deposit stoichiometry was mapped.
+# Electrolyte anchors: the standard bath's Te ion and Bi2O3 concentrations,
+# and the Bi2O3 window over which deposit stoichiometry was mapped.
 BATH_C_TEO2 = 80.0  # mol/m3
+BATH_C_BI2O3 = 40.0  # mol/m3, the recipe boundary
 BATH_C_BI2O3_MIN = 20.0  # mol/m3, most Te-rich recipe
 BATH_C_BI2O3_MAX = 60.0  # mol/m3, most Bi-rich recipe
 STOICH_TE_RICH = 2.1  # Te:Bi at 20 mol/m3 Bi2O3

@@ -122,7 +122,7 @@ class BathSpec:
     """Electrolyte composition and transport (acidic nitrate bath)."""
 
     c_teo2: float = constants.BATH_C_TEO2  # mol/m3, HTeO2+ from dissolved O2Te
-    c_bi2o3: float = 40.0  # mol/m3 dissolved Bi2O3
+    c_bi2o3: float = constants.BATH_C_BI2O3  # mol/m3 dissolved Bi2O3
     diffusivity: float = constants.DEFAULT_DIFFUSIVITY  # m2/s
     electrons_per_formula: float = constants.BI2TE3_ELECTRONS_PER_FORMULA
     molar_mass: float = constants.BI2TE3_MOLAR_MASS  # kg/mol
@@ -208,7 +208,8 @@ def stoichiometry_from_bath(c_bi2o3: float) -> StoichiometryRatio:
     ratio = float(
         np.interp(
             c_bi2o3,
-            [constants.BATH_C_BI2O3_MIN, 40.0, constants.BATH_C_BI2O3_MAX],
+            [constants.BATH_C_BI2O3_MIN, constants.BATH_C_BI2O3,
+             constants.BATH_C_BI2O3_MAX],
             [constants.STOICH_TE_RICH, constants.STOICH_BALANCED,
              constants.STOICH_BI_RICH],
         )

@@ -2,9 +2,10 @@
 
 All three CSV writers format numeric cells as `%.17g` so a reader recovers
 the exact binary values; emission is deterministic byte for byte.
-A deposit series is written in blocks of rows, one format and one write per
-block, with the same bytes as one row at a time; a sweep curve is written
-row by row, which is already at the cost of its 17-digit cells.
+A sweep curve and a deposit series are written in blocks of rows: one
+vectorised kernel (`_csv_rows`) formats a block's cells with the bytes of
+`%.17g`, and the block is written at once. A comparison table has a few
+rows and keeps Python's `%`, so `compare` never loads numpy.
 
 Every file is written through `overwrite`: an existing file is overwritten
 in place and then cut to the new length, never truncated to 0 first, and
@@ -19,6 +20,7 @@ consistency for its outputs, and no run that exits normally can tell.
 
 import contextlib
 import csv
+import functools
 import json
 import os
 import stat
@@ -72,25 +74,31 @@ def overwrite(path: str | Path, mode: str = "w", **kwargs):
 
 
 def emit_curve(curve: SweepCurve, path: str | Path) -> None:
-    """Write a sweep curve as plot-ready CSV (one row per parameter value)."""
+    """Write a sweep curve as plot-ready CSV (one row per parameter value).
+
+    The parameter name (one of SWEEPABLE_PARAMETERS) and the numbers hold no
+    quote or separator character, so the bytes are those csv.writer would
+    write.
+    """
     if not curve.values:
         raise ParameterError("cannot emit an empty curve")
-    # One format per row; the parameter name (one of SWEEPABLE_PARAMETERS)
-    # and the numbers hold no quote or separator character, so the bytes are
-    # those csv.writer would write.
-    row = curve.parameter + ",%.17g" * 7 + "\n"
-    rows = map(row.__mod__, zip(
+    import numpy as np
+
+    table = np.array([
         curve.values,
         curve.column("dt_gen"),
         curve.column("v_oc"),
         curve.column("r_internal"),
         curve.column("p_matched"),
-        [x / UW_CM2_TO_W_M2 for x in curve.column("power_density")],
-        [x / UW_CM2_TO_W_M2 for x in curve.column("eff_factor")],
-    ))
-    with overwrite(path, newline="") as handle:
-        handle.write(",".join(SWEEP_COLUMNS) + "\n")
-        handle.writelines(rows)
+        curve.column("power_density"),
+        curve.column("eff_factor"),
+    ]).T
+    table[:, 5:] /= UW_CM2_TO_W_M2
+    rows = BLOCK_CELLS // table.shape[1]
+    with overwrite(path, "wb") as handle:
+        handle.write((",".join(SWEEP_COLUMNS) + "\n").encode())
+        for start in range(0, len(table), rows):
+            handle.write(_csv_rows(table[start:start + rows], curve.parameter.encode()))
 
 
 def emit_comparison(table: ComparisonTable, path: str | Path) -> None:
@@ -105,39 +113,190 @@ def emit_comparison(table: ComparisonTable, path: str | Path) -> None:
                 op.power_density / UW_CM2_TO_W_M2, op.eff_factor / UW_CM2_TO_W_M2)])
 
 
-#: Rows per block of a deposit series: one format and one write per block,
-#: so the Python objects held at once are bounded by the block, not the run.
-SERIES_BLOCK_ROWS = 4096
-
-
 def emit_deposit_series(state: DepositState, path: str | Path) -> None:
     """Write the deposit time series as CSV, one block of rows per write.
 
     The cells hold no quote or separator characters, so `%.17g` cells joined
-    by commas are the bytes csv.writer would write. Each block is one bytes
-    `%` of the row format repeated over the block's cells, written with no
-    text layer (the cells are ASCII). The deposit does not grow during a
-    pause, so a block's thickness cells are formatted once per distinct
-    value. Values are told apart by bit pattern: a comparison of values
-    would merge 0.0 and -0.0, which print apart.
+    by commas are the bytes csv.writer would write.
     """
     import numpy as np
 
+    rows = BLOCK_CELLS // len(ECD_COLUMNS)
     with overwrite(path, "wb") as handle:
         handle.write((",".join(ECD_COLUMNS) + "\n").encode())
-        for start in range(0, state.times.size, SERIES_BLOCK_ROWS):
-            block = slice(start, start + SERIES_BLOCK_ROWS)
-            times = state.times[block].tolist()
-            bits, which = np.unique(
-                (state.thickness_series[block] / 1e-6).view(np.uint64),
-                return_inverse=True,
-            )
-            distinct = [b"%.17g" % x for x in bits.view(np.float64).tolist()]
-            cells = [None] * (3 * len(times))
-            cells[0::3] = times
-            cells[1::3] = map(distinct.__getitem__, which.tolist())
-            cells[2::3] = state.surface_conc_series[block].tolist()
-            handle.write((b"%.17g,%s,%.17g\n" * len(times)) % tuple(cells))
+        for start in range(0, state.times.size, rows):
+            block = slice(start, start + rows)
+            handle.write(_csv_rows(np.column_stack((
+                state.times[block],
+                state.thickness_series[block] / 1e-6,
+                state.surface_conc_series[block],
+            ))))
+
+
+#: Cells per block of a sweep curve or deposit series. Each block is one
+#: call of `_csv_rows` and one write, so the arrays held at once (under
+#: 1 MB) are bounded by the block, not the table. The cost per cell was
+#: lowest near 3000 cells and about half as much again at 5000 (2-CPU Xeon,
+#: numpy 2.4).
+BLOCK_CELLS = 3072
+
+# `_csv_rows` formats 1e-30 <= |x| <= 1e30 itself, the range of the
+# quantities tegkit writes, and hands other values to `%`; its power table
+# covers the exponents that a rounded-down log10 of that range gives.
+_K_LOW, _K_HIGH = -31, 29
+
+# A cell's slot in `_csv_rows`: six little-endian 64-bit words,
+#   word 0     sign (NUL or "-"), "0.000", the first digit, "."
+#   words 1-4  digits 2 to 17, each followed by "."
+#   word 5     "e", exponent sign, two exponent digits, separator, 3 NULs
+_SLOT = 48
+_CELL = bytes(40) + b"e+00,\0\0\0"
+
+
+@functools.cache
+def _cell_tables():
+    """Lookup tables of `_csv_rows`, built on its first call.
+
+    powers   (6, 61) float64 by exponent k: hi + lo = 10^(16 - k) as a
+             double-double to 2^-106 relative (from Python ints), hi's two
+             26-bit halves for Dekker's product, the mask row offset of k's
+             layout, and k's exponent word "e+dd" as an integer
+    groups   the word "d.d.d.d." of each 4-digit group
+    nonzero  a group's nonzero digits as the bytes of an integer
+    first    word 0 by first digit + 10 * sign
+    mask     slot masks by layout and count of significant digits (1-17);
+             layouts 0-22 are exponents -5 to 17, where -5 and 17 stand for
+             %g's exponent form and the rest for its fixed form
+    """
+    import numpy as np
+
+    def power(k):  # hi + lo = 10^(16 - k), each correctly rounded
+        if k <= 16:
+            p = 10 ** (16 - k)
+            return float(p), float(p - int(float(p)))
+        q = 10 ** (k - 16)
+        m, d = (1 / q).as_integer_ratio()  # int / int is correctly rounded
+        return 1 / q, (d - m * q) / (q * d)
+
+    k = range(_K_LOW, _K_HIGH + 1)
+    hi, lo = np.array([power(e) for e in k]).T
+    c = hi * 134217729.0  # 2^27 + 1, Dekker's split
+    hi_high = c - (c - hi)
+    # the offset takes the 127 that the count of digits carries
+    offset = [(min(max(e, -5), 17) + 5) * 17 - 127 for e in k]
+    exponent = np.frombuffer(b"".join(b"e%+03d" % e for e in k), np.uint32)
+    powers = np.array([hi, hi_high, hi - hi_high, lo, offset, exponent])
+
+    chars = np.full((10, 10, 10, 10, 8), ord("."), np.uint8)
+    for i in range(4):
+        chars[..., 2 * i] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - i))
+    groups = chars.view(np.uint64).ravel()
+    # a group's nonzero digits as bytes of 0 or 1, first digit lowest
+    nonzero = (chars[..., 0::2] > 48).view(np.uint32).ravel().astype(np.float64)
+    first = np.frombuffer(
+        b"".join(sign + b"0.000%d." % i for sign in (b"\0", b"-") for i in range(10)),
+        np.uint64)
+
+    x = np.arange(-5, 18)[:, None, None]
+    digits = np.arange(1, 18)[:, None]
+    pos = np.arange(_SLOT)
+    exp_form = (x < -4) | (x > 16)
+    shown = np.maximum(digits, np.where(exp_form, 0, x + 1))  # digits printed
+    dot = np.where(exp_form, 0, x)  # "." follows this digit if a digit follows it
+    dot = np.where((dot >= 0) & (digits > dot + 1), dot, -2)
+    # the digit at each position, and the digit a "." there follows
+    digit_at = np.where((pos >= 6) & (pos < 40) & (pos % 2 == 0), (pos - 6) // 2, 99)
+    dot_at = np.where((pos >= 7) & (pos < 39) & (pos % 2 == 1), (pos - 7) // 2, -1)
+    keep = ((pos == 0) | (pos == 44)
+            | ((pos >= 1) & (pos < 2 - x) & (x < 0) & ~exp_form)  # "0.000"
+            | ((pos >= 40) & (pos < 44) & exp_form)
+            | (digit_at < shown) | (dot_at == dot))
+    mask = (keep.view(np.uint8) * np.uint8(255)).reshape(-1, _SLOT).view(np.uint64)
+    # digit m's nonzero byte lands on bit 8 m (the first digit is the last
+    # byte of its group)
+    weights = 2.0 ** np.array([-24, 8, 40, 72, 104])
+    divisors = np.array([10**16, 10**12, 10**8, 10**4, 1])[:, None]
+    return powers, groups, nonzero, first, mask, weights, divisors
+
+
+def _csv_rows(table, lead: bytes = b"") -> bytes:
+    """CSV lines of a float64 (rows, columns) array: `lead` (ASCII with no
+    NUL) and a comma if it is given, then each cell as `b"%.17g" % x`,
+    comma-separated.
+
+    Every byte equals Python's. For 1e-30 <= |x| <= 1e30, with
+    k = floor(log10|x| - 1e-12), the decimal exponent or one below it,
+    y = |x| * 10^(16 - k) is Dekker's exact product of |x| and hi
+    (T. J. Dekker, Numer. Math. 18 (1971) 224) plus |x| * lo, where
+    hi + lo = 10^(16 - k) to 2^-106 relative. Each of the three rounding
+    errors is at most 2^-49 on a y below 2^57, so y is found to 2^-47, and
+    N = round(y) is exact when y's fraction is more than 2^-30 from 1/2.
+    A cell goes through Python's `%` instead when:
+    - it is 0, -0, nan or inf, or |x| lies outside [1e-30, 1e30];
+    - y's fraction is within 2^-30 of 1/2;
+    - N >= 10^17: k was one low, or y rounds up to 10^17.
+    Otherwise N holds the 17 significant digits and k the exponent. The
+    digits go into the cell's slot from the group tables, the slot mask of
+    %g's layout for k and N's count of significant digits zeroes the bytes
+    the cell does not print, and the zero bytes are deleted.
+    """
+    import numpy as np
+
+    powers, groups, nonzero, first, mask, weights, divisors = _cell_tables()
+    rows, columns = table.shape
+    head = (lead + b",") if lead else b""
+    head += bytes(-len(head) % 8)
+    buf = bytearray((head + _CELL * columns)[:-4] + b"\n\0\0\0")  # a "\n" ends the row
+    buf *= rows
+    words = np.frombuffer(buf, np.uint64).reshape(rows, -1)[:, len(head) // 8:]
+    cells = words.reshape(rows, columns, _SLOT // 8)
+
+    x = table.reshape(-1)
+    a = np.abs(x)
+    b = np.fmin(np.fmax(a, 1e-30), 1e30)
+    ok = a == b
+    j = np.log10(b)
+    j += -_K_LOW - 1e-12
+    hi, hi_high, hi_low, lo, offset, exponent = np.take(powers, j.astype(np.intp), axis=1)
+    c = b * 134217729.0
+    b_high = c - (c - b)
+    b_low = b - b_high
+    p = b * hi
+    e = b_high * hi_high
+    e -= p
+    t = b_high * hi_low
+    e += t
+    np.multiply(b_low, hi_high, out=t)
+    e += t
+    np.multiply(b_low, hi_low, out=t)
+    e += t
+    np.multiply(b, lo, out=t)
+    e += t  # y = p + e
+    r = np.rint(e)
+    e -= r
+    n = p.astype(np.int64)
+    n += r.astype(np.int64)  # N
+    ok &= np.abs(e) < 0.5 - 2.0**-30
+    ok &= n < 10**17
+
+    q = n // divisors  # first digit, then the four 4-digit groups
+    q[1:] -= q[:-1] * 10000
+    q[0] += np.signbit(x) * 10
+    cells[..., 0] = np.take(first, q[0], mode="clip").reshape(rows, columns)
+    cells[..., 1:5] = groups[q[1:]].T.reshape(rows, columns, 4)
+    # the sum's highest set bit is 8 (digits - 1), so its exponent field,
+    # 1023 + 8 (digits - 1), over 8 is 127 + digits - 1
+    row = (weights @ nonzero[q]).view(np.int64) >> 55
+    np.add(row, offset, out=row, casting="unsafe")
+    np.copyto(words.view(np.uint32).reshape(rows, columns, _SLOT // 4)[..., 10],
+              exponent.reshape(rows, columns), casting="unsafe")  # bytes 40-43
+    cells &= np.take(mask, row.reshape(rows, columns), axis=0)
+    if not ok.all():
+        bad = np.flatnonzero(~ok)
+        text = b"".join((b"%.17g" % v).ljust(44, b"\0") for v in x[bad].tolist())
+        cells.view(np.uint8)[bad // columns, bad % columns, :44] = (  # up to the separator
+            np.frombuffer(text, np.uint8).reshape(-1, 44))
+    return bytes(buf).translate(None, b"\0")
 
 
 def operating_point_dict(op: OperatingPoint) -> dict:

@@ -43,7 +43,9 @@ from tegkit.errors import (
 from tegkit.materials import lookup_material
 from tegkit.optimize import SweepCurve, compare_designs, sweep
 from tegkit.output import (
-    SERIES_BLOCK_ROWS,
+    BLOCK_CELLS,
+    SWEEP_COLUMNS,
+    _csv_rows,
     emit_comparison,
     emit_curve,
     emit_deposit_series,
@@ -52,6 +54,9 @@ from tegkit.output import (
 )
 
 REPO = Path(__file__).resolve().parent.parent
+#: Rows per block of the seven-cell curve and the three-cell series.
+CURVE_BLOCK_ROWS = BLOCK_CELLS // 7
+SERIES_BLOCK_ROWS = BLOCK_CELLS // 3
 
 
 def digest(path):
@@ -366,6 +371,19 @@ class TestCurveEmission:
             emit_curve(empty, tmp_path / "x.csv")
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("rows", [CURVE_BLOCK_ROWS, CURVE_BLOCK_ROWS + 1])
+    def test_lengths_at_the_block_edges(self, rows, tmp_path, annealed):
+        curve = sweep(annealed, 40.0, "contact_resistivity", 0.0, 1e-8, rows)
+        path = tmp_path / "curve.csv"
+        emit_curve(curve, path)
+        columns = [curve.values] + [curve.column(name) for name in (
+            "dt_gen", "v_oc", "r_internal", "p_matched")] + [
+            [x / UW_CM2_TO_W_M2 for x in curve.column(name)]
+            for name in ("power_density", "eff_factor")]
+        row = "contact_resistivity" + ",%.17g" * 7 + "\n"
+        assert path.read_text() == ",".join(SWEEP_COLUMNS) + "\n" + "".join(
+            row % cells for cells in zip(*columns))
+
     # sha256 and size of each CSV, squares taken as IEEE products. The
     # contact_resistivity sweep is still the point-by-point sweep's csv.writer
     # output; the other four differ from it in the last digit of 3 to 14
@@ -508,7 +526,7 @@ class TestDepositSeriesEmission:
 
     def test_plated_series_with_repeated_thickness(self, tmp_path):
         # 20 pulse steps in 200: most thickness cells repeat the one before,
-        # and 12 001 records span three blocks.
+        # and 12 001 records span twelve blocks.
         dt = 1e-3
         plan = PulsePlan(t_pulse=20 * dt, t_pause=180 * dt, j_pulse=300.0,
                          total_time=12_000 * dt)
@@ -518,7 +536,8 @@ class TestDepositSeriesEmission:
         assert np.unique(thickness).size < thickness.size / 5
         self.assert_row_by_row_bytes(state, tmp_path)
 
-    @pytest.mark.parametrize("rows", [1, SERIES_BLOCK_ROWS, SERIES_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("rows", [1, SERIES_BLOCK_ROWS, SERIES_BLOCK_ROWS + 1,
+                                      4 * SERIES_BLOCK_ROWS, 4 * SERIES_BLOCK_ROWS + 1])
     def test_lengths_at_the_block_edges(self, rows, tmp_path):
         k = np.arange(rows)
         state = deposit_state(k * 1e-3, (k // 7) * 3.3e-10 / 7.0,
@@ -532,6 +551,47 @@ class TestDepositSeriesEmission:
         data = self.assert_row_by_row_bytes(state, tmp_path)
         rows = data.decode().splitlines()[1:]
         assert [row.split(",")[1] for row in rows] == ["0", "-0", "nan", "-0", "0", "nan", "1"]
+
+
+def percent_rows(table: np.ndarray, lead: bytes = b"") -> bytes:
+    """The CSV lines of `table` as Python's `%` writes them, one row at a time."""
+    row = (lead + b"," if lead else b"") + b",".join([b"%.17g"] * table.shape[1]) + b"\n"
+    return b"".join(row % tuple(cells) for cells in table.tolist())
+
+
+class TestCellKernel:
+    """`_csv_rows` writes every float64 as Python's `b"%.17g" % x`."""
+
+    @given(st.lists(st.floats(), min_size=1, max_size=64))
+    def test_any_float(self, values):
+        table = np.array(values)[:, None]
+        assert _csv_rows(table) == percent_rows(table)
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(18)
+        bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False)
+        table = bits.view(np.float64).reshape(-1, 4)
+        assert _csv_rows(table, b"leg_length") == percent_rows(table, b"leg_length")
+
+    def test_random_values_in_the_kernel_range(self):
+        # most random bit patterns lie outside [1e-30, 1e30] and go through %
+        rng = np.random.default_rng(18)
+        values = rng.standard_normal(200_001) * 10.0 ** rng.integers(-32, 32, 200_001)
+        table = values.reshape(-1, 3)
+        assert _csv_rows(table) == percent_rows(table)
+
+    def test_edges(self):
+        # exact decimal ties at 17 digits, M 2^-(s + 1) * 10^s = M 5^s / 2 with
+        # M odd, which % rounds to even: 2^50 + 1/4 prints ...624.2
+        ties = [m * 2.0 ** -(s + 1) for s in range(1, 47)
+                for m in [-(-2 * 10**16 // 5**s) | 1] if m * 5**s < 2 * 10**17]
+        tens = np.array([float("1e%d" % k) for k in range(-320, 309)])
+        values = np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf), ties, [
+            1e16, 1e17, 99999999999999999.0, 0.0001, np.nextafter(0.0001, 0),
+            5e-324, 0.0, -0.0, float("nan"), float("inf"), -float("inf"),
+            2.0**50 + 0.25, 2.0**50 + 0.75]])
+        table = np.concatenate([values, -values]).reshape(-1, 1)
+        assert _csv_rows(table) == percent_rows(table)
 
 
 class TestOverwriteInPlace:

@@ -37,14 +37,18 @@ print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}), file=sys.stde
 """
 
 
-def probe(*argv):
+def run(code, *argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stderr.splitlines()[-1])
+    return proc
+
+
+def probe(*argv):
+    return json.loads(run(PROBE, *argv).stderr.splitlines()[-1])
 
 
 @pytest.mark.parametrize("argv", [
@@ -53,11 +57,22 @@ def probe(*argv):
     ["optimize", "--config", ANNEALED, "--dt", "40",
      "--from", "1e-5", "--to", "1e-3"],
     ["compare", "--config", CUNI, "--config", ANNEALED, "--dt", "40"],
+    # the comparison CSV keeps Python's % for its few rows
+    ["compare", "--config", CUNI, "--config", ANNEALED, "--dt", "40",
+     "--out", "{tmp}/compare.csv"],
     ["calibrate", "--config", ANNEALED, "--dt", "40", "--target", "278.5"],
     ["ecd", "sand-time", "--config", ECD],
-], ids=["import", "eval", "optimize", "compare", "calibrate", "sand-time"])
-def test_scalar_commands_run_without_numpy(argv):
+], ids=["import", "eval", "optimize", "compare", "compare-out", "calibrate",
+        "sand-time"])
+def test_scalar_commands_run_without_numpy(argv, tmp_path):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert probe(*argv) == {"code": None if not argv else 0, "numpy": False}
+
+
+def test_importing_the_writers_builds_no_formatter_table():
+    code = ("import sys, tegkit.output as o; "
+            "print(o._cell_tables.cache_info().currsize, 'numpy' in sys.modules)")
+    assert run(code).stdout.split() == ["0", "False"]
 
 
 def test_a_malformed_config_is_rejected_without_numpy(tmp_path):
