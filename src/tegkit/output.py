@@ -80,20 +80,16 @@ def emit_curve(curve: SweepCurve, path: str | Path) -> None:
     quote or separator character, so the bytes are those csv.writer would
     write.
     """
-    if not curve.values:
+    if len(curve.values) == 0:
         raise ParameterError("cannot emit an empty curve")
     import numpy as np
 
-    table = np.array([
+    # C order, so each block's `reshape(-1)` in `_csv_rows` is a view
+    table = np.column_stack((
         curve.values,
-        curve.column("dt_gen"),
-        curve.column("v_oc"),
-        curve.column("r_internal"),
-        curve.column("p_matched"),
-        curve.column("power_density"),
-        curve.column("eff_factor"),
-    ]).T
-    table[:, 5:] /= UW_CM2_TO_W_M2
+        *map(curve.column, ("dt_gen", "v_oc", "r_internal", "p_matched")),
+        *(curve.column(name) / UW_CM2_TO_W_M2 for name in ("power_density", "eff_factor")),
+    ))
     rows = BLOCK_CELLS // table.shape[1]
     with overwrite(path, "wb") as handle:
         handle.write((",".join(SWEEP_COLUMNS) + "\n").encode())

@@ -366,7 +366,8 @@ class TestCurveEmission:
             assert float(row["p_density_uW_cm2"]) == op.power_density / UW_CM2_TO_W_M2
 
     def test_empty_curve_rejected(self, tmp_path):
-        empty = SweepCurve(parameter="leg_length", values=(), columns=((),) * 9)
+        empty = SweepCurve(parameter="leg_length", values=np.empty(0),
+                           columns=(np.empty(0),) * 9)
         with pytest.raises(ParameterError):
             emit_curve(empty, tmp_path / "x.csv")
         assert not (tmp_path / "x.csv").exists()

@@ -153,7 +153,26 @@ class TestSweep:
     def test_deterministic(self, annealed):
         a = sweep(annealed, 40.0, "leg_length", 1e-5, 1e-3, 25, spacing="log")
         b = sweep(annealed, 40.0, "leg_length", 1e-5, 1e-3, 25, spacing="log")
-        assert a == b
+        assert bits(a.points) == bits(b.points)
+
+    @pytest.mark.parametrize("parameter, lo, hi", [
+        ("leg_length", 1e-5, 1e-3),
+        ("dt_meas", 1.0, 80.0),  # the values are also the dt_meas column
+    ])
+    def test_columns_are_read_only_float64_arrays(self, annealed, parameter, lo, hi):
+        curve = sweep(annealed, 40.0, parameter, lo, hi, 30)
+        assert len(curve.columns) == len(dataclasses.fields(OperatingPoint))
+        for array in (curve.values, *curve.columns):
+            assert isinstance(array, np.ndarray)
+            assert array.dtype == np.float64 and array.shape == (30,)
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        values, ops = zip(*curve.points)
+        rows = [values] + [[getattr(op, f.name) for op in ops]
+                           for f in dataclasses.fields(OperatingPoint)]
+        for row, array in zip(rows, (curve.values, *curve.columns)):
+            assert all(type(x) is float for x in row)
+            assert list(map(float.hex, row)) == list(map(float.hex, array.tolist()))
 
     def test_leg_length_sweep_is_unimodal(self, annealed):
         curve = sweep(annealed, 40.0, "leg_length", 1e-5, 1e-3, 50, spacing="log")
