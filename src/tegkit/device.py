@@ -246,12 +246,16 @@ def evaluate_columns(
 
     `parameter` is `dt_meas` or a design field (`leg_length`, `fill_factor`,
     `contact_resistivity`, `interface_resistance`); every other input is the
-    design's own or dt_meas. Returns (valid, columns): columns holds one
-    array per `OperatingPoint` field, in field order, with the same IEEE
-    operations in the same order as `evaluate` (squares are products on
-    both), so every value equals its scalar counterpart bit for bit. valid
-    is False exactly where `GeneratorDesign` or `evaluate` would raise for
-    that point; the columns there hold whatever the formulas give.
+    design's own or dt_meas, held as one float64 scalar, so a quantity that
+    depends on none of the swept values is computed once. Returns
+    (valid, columns): valid is a bool array of the values' shape, and
+    columns holds one float64 array of that shape per `OperatingPoint`
+    field, in field order; a column that came out a scalar is filled with
+    `np.full` at the end. The columns take the same IEEE operations in the
+    same order as `evaluate` (squares are products on both), so every value
+    equals its scalar counterpart bit for bit. valid is False exactly where
+    `GeneratorDesign` or `evaluate` would raise for that point; the columns
+    there hold whatever the formulas give.
     """
     import numpy as np
 
@@ -264,9 +268,10 @@ def evaluate_columns(
     }
     if parameter not in fixed:
         raise ParameterError(f"unknown sweep parameter {parameter!r}")
-    # np.full copies each fixed value exactly
+    # numpy scalars, not Python floats: a division by zero among them gives
+    # inf or nan under the errstate below, as an array's would, not an error
     L, F, rho_c, k_if, dt = (
-        values if name == parameter else np.full(values.shape, x)
+        values if name == parameter else np.float64(x)
         for name, x in fixed.items()
     )
     p_mat, n_mat = design.p_material, design.n_material
@@ -295,9 +300,13 @@ def evaluate_columns(
         (0 < L) & (L < inf) & (0 < F) & (F <= 1)
         & (0 <= rho_c) & (rho_c < inf) & (0 <= k_if) & (k_if < inf)
         & (0 <= dt) & (dt < inf)
-        & (area_lam > 0) & (r_gen > 0) & ~(n < 1) & (r_i > 0)
+        & (area_lam > 0) & (r_gen > 0) & np.logical_not(n < 1) & (r_i > 0)
         & (r_i < inf) & (density < inf) & (q < inf) & (dt_sq < inf)
         & (eff < inf)
+    )
+    dt, dt_gen, v_oc, r_i, q = (
+        np.full(values.shape, x) if np.ndim(x) == 0 else x
+        for x in (dt, dt_gen, v_oc, r_i, q)
     )
     return valid, (dt, dt_gen, v_oc, r_i, p, density, q, q, eff)
 

@@ -129,12 +129,17 @@ def emit_deposit_series(state: DepositState, path: str | Path) -> None:
             ))))
 
 
-#: Cells per block of a sweep curve or deposit series. Each block is one
-#: call of `_csv_rows` and one write, so the arrays held at once (under
-#: 1 MB) are bounded by the block, not the table. The cost per cell was
-#: lowest near 3000 cells and about half as much again at 5000 (2-CPU Xeon,
-#: numpy 2.4).
-BLOCK_CELLS = 3072
+#: Cells per block of a sweep curve or deposit series (219 curve rows, 512
+#: series rows). Each block is one call of `_csv_rows` and one write, so the
+#: memory it touches is bounded by the block, not the table: about 0.5 MB
+#: of arrays and buffers at 1536 cells, 1 MB at 3072. The size is the best
+#: of the design_space benchmark (seed 7, 10 s runs, tasks/s): 1024 cells
+#: 1707-1728, 1536 1837-2002, 2048 1775-1930, 3072 1570-1826. A kernel
+#: timed alone in a warm loop favours 3072, but in the benchmark other
+#: work runs between blocks and glibc trims the heap a larger block grew,
+#: so the next one faults its pages in again: minor faults per sweep task
+#: were 110 at 3072 cells, 10 at 2048 and 2-3 at 1536 (2-CPU Xeon, numpy 2.4).
+BLOCK_CELLS = 1536
 
 # `_csv_rows` formats 1e-30 <= |x| <= 1e30 itself, the range of the
 # quantities tegkit writes, and hands other values to `%`; its power table
@@ -155,10 +160,11 @@ def _cell_tables():
 
     powers   (6, 61) float64 by exponent k: hi + lo = 10^(16 - k) as a
              double-double to 2^-106 relative (from Python ints), hi's two
-             26-bit halves for Dekker's product, the mask row offset of k's
-             layout, and k's exponent word "e+dd" as an integer
+             26-bit halves for Dekker's product, the mask row of k's
+             layout with 17 significant digits, and k's exponent word
+             "e+dd" as an integer
     groups   the word "d.d.d.d." of each 4-digit group
-    nonzero  a group's nonzero digits as the bytes of an integer
+    zeros    int8 count of a 4-digit group's trailing zeros, 4 for 0000
     first    word 0 by first digit + 10 * sign
     mask     slot masks by layout and count of significant digits (1-17);
              layouts 0-22 are exponents -5 to 17, where -5 and 17 stand for
@@ -178,8 +184,8 @@ def _cell_tables():
     hi, lo = np.array([power(e) for e in k]).T
     c = hi * 134217729.0  # 2^27 + 1, Dekker's split
     hi_high = c - (c - hi)
-    # the offset takes the 127 that the count of digits carries
-    offset = [(min(max(e, -5), 17) + 5) * 17 - 127 for e in k]
+    # less a digit for each trailing zero of N gives N's mask row
+    offset = [(min(max(e, -5), 17) + 5) * 17 + 16 for e in k]
     exponent = np.frombuffer(b"".join(b"e%+03d" % e for e in k), np.uint32)
     powers = np.array([hi, hi_high, hi - hi_high, lo, offset, exponent])
 
@@ -187,8 +193,9 @@ def _cell_tables():
     for i in range(4):
         chars[..., 2 * i] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - i))
     groups = chars.view(np.uint64).ravel()
-    # a group's nonzero digits as bytes of 0 or 1, first digit lowest
-    nonzero = (chars[..., 0::2] > 48).view(np.uint32).ravel().astype(np.float64)
+    zeros = np.zeros(10**4, np.int8)
+    for step in (10, 100, 1000, 10**4):
+        zeros[::step] += 1
     first = np.frombuffer(
         b"".join(sign + b"0.000%d." % i for sign in (b"\0", b"-") for i in range(10)),
         np.uint64)
@@ -208,11 +215,8 @@ def _cell_tables():
             | ((pos >= 40) & (pos < 44) & exp_form)
             | (digit_at < shown) | (dot_at == dot))
     mask = (keep.view(np.uint8) * np.uint8(255)).reshape(-1, _SLOT).view(np.uint64)
-    # digit m's nonzero byte lands on bit 8 m (the first digit is the last
-    # byte of its group)
-    weights = 2.0 ** np.array([-24, 8, 40, 72, 104])
     divisors = np.array([10**16, 10**12, 10**8, 10**4, 1])[:, None]
-    return powers, groups, nonzero, first, mask, weights, divisors
+    return powers, groups, zeros, first, mask, divisors
 
 
 def _csv_rows(table, lead: bytes = b"") -> bytes:
@@ -232,13 +236,16 @@ def _csv_rows(table, lead: bytes = b"") -> bytes:
     - y's fraction is within 2^-30 of 1/2;
     - N >= 10^17: k was one low, or y rounds up to 10^17.
     Otherwise N holds the 17 significant digits and k the exponent. The
-    digits go into the cell's slot from the group tables, the slot mask of
-    %g's layout for k and N's count of significant digits zeroes the bytes
-    the cell does not print, and the zero bytes are deleted.
+    digits go into the cell's slot from the group tables. N's count of
+    significant digits is 17 less its trailing zeros, read from the zeros
+    table for its last 4-digit group; only where that group is 0000 (an
+    integer, a short decimal) are the groups before it read too. The slot
+    mask of %g's layout for k and that count zeroes the bytes the cell does
+    not print, and the zero bytes are deleted.
     """
     import numpy as np
 
-    powers, groups, nonzero, first, mask, weights, divisors = _cell_tables()
+    powers, groups, zeros, first, mask, divisors = _cell_tables()
     rows, columns = table.shape
     head = (lead + b",") if lead else b""
     head += bytes(-len(head) % 8)
@@ -280,10 +287,14 @@ def _csv_rows(table, lead: bytes = b"") -> bytes:
     q[0] += np.signbit(x) * 10
     cells[..., 0] = np.take(first, q[0], mode="clip").reshape(rows, columns)
     cells[..., 1:5] = groups[q[1:]].T.reshape(rows, columns, 4)
-    # the sum's highest set bit is 8 (digits - 1), so its exponent field,
-    # 1023 + 8 (digits - 1), over 8 is 127 + digits - 1
-    row = (weights @ nonzero[q]).view(np.int64) >> 55
-    np.add(row, offset, out=row, casting="unsafe")
+    row = offset.astype(np.intp)
+    row -= zeros[q[4]]
+    rare = np.flatnonzero(q[4] == 0)
+    if rare.size:  # N ends in 0000: count the zeros of the groups before
+        more = zeros[q[1, rare]]
+        for group in q[2:4, rare]:
+            more = np.where(group == 0, more + 4, zeros[group])
+        row[rare] -= more
     np.copyto(words.view(np.uint32).reshape(rows, columns, _SLOT // 4)[..., 10],
               exponent.reshape(rows, columns), casting="unsafe")  # bytes 40-43
     cells &= np.take(mask, row.reshape(rows, columns), axis=0)

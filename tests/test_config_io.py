@@ -372,7 +372,7 @@ class TestCurveEmission:
             emit_curve(empty, tmp_path / "x.csv")
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize("rows", [CURVE_BLOCK_ROWS, CURVE_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("rows", [2 * CURVE_BLOCK_ROWS, 2 * CURVE_BLOCK_ROWS + 1])
     def test_lengths_at_the_block_edges(self, rows, tmp_path, annealed):
         curve = sweep(annealed, 40.0, "contact_resistivity", 0.0, 1e-8, rows)
         path = tmp_path / "curve.csv"
@@ -527,7 +527,7 @@ class TestDepositSeriesEmission:
 
     def test_plated_series_with_repeated_thickness(self, tmp_path):
         # 20 pulse steps in 200: most thickness cells repeat the one before,
-        # and 12 001 records span twelve blocks.
+        # and 12 001 records span 24 blocks.
         dt = 1e-3
         plan = PulsePlan(t_pulse=20 * dt, t_pause=180 * dt, j_pulse=300.0,
                          total_time=12_000 * dt)
@@ -537,8 +537,8 @@ class TestDepositSeriesEmission:
         assert np.unique(thickness).size < thickness.size / 5
         self.assert_row_by_row_bytes(state, tmp_path)
 
-    @pytest.mark.parametrize("rows", [1, SERIES_BLOCK_ROWS, SERIES_BLOCK_ROWS + 1,
-                                      4 * SERIES_BLOCK_ROWS, 4 * SERIES_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("rows", [1, 2 * SERIES_BLOCK_ROWS, 2 * SERIES_BLOCK_ROWS + 1,
+                                      8 * SERIES_BLOCK_ROWS, 8 * SERIES_BLOCK_ROWS + 1])
     def test_lengths_at_the_block_edges(self, rows, tmp_path):
         k = np.arange(rows)
         state = deposit_state(k * 1e-3, (k // 7) * 3.3e-10 / 7.0,
@@ -558,6 +558,11 @@ def percent_rows(table: np.ndarray, lead: bytes = b"") -> bytes:
     """The CSV lines of `table` as Python's `%` writes them, one row at a time."""
     row = (lead + b"," if lead else b"") + b",".join([b"%.17g"] * table.shape[1]) + b"\n"
     return b"".join(row % tuple(cells) for cells in table.tolist())
+
+
+def last_group_is_0000(x: float) -> bool:
+    """Whether the last 4 of x's 17 significant digits are 0000."""
+    return ("%.16e" % x).partition("e")[0].endswith("0000")
 
 
 class TestCellKernel:
@@ -593,6 +598,28 @@ class TestCellKernel:
             2.0**50 + 0.25, 2.0**50 + 0.75]])
         table = np.concatenate([values, -values]).reshape(-1, 1)
         assert _csv_rows(table) == percent_rows(table)
+
+    @pytest.mark.parametrize("which", ["every", "some", "no"])
+    def test_cells_whose_digits_end_in_a_0000_group(self, which):
+        # The count of significant digits comes from the last 4-digit group
+        # of the 17, and from the groups before it only where that one is
+        # 0000: integers, k / 1024 and 40.0 end in 0000, and 10^d + 1 and
+        # 5 10^d end their digits in each group in turn.
+        rng = np.random.default_rng(20)
+        k = np.arange(1.0, 2049.0)
+        short = np.concatenate([10.0 ** np.arange(16) + 1, 5 * 10.0 ** np.arange(16)])
+        noise = rng.standard_normal(k.size) * 10.0 ** rng.integers(-20, 20, k.size)
+        table = {
+            "every": np.column_stack((k, k / 1024, np.full(k.size, 40.0))),
+            "some": np.column_stack((noise, np.resize(short, k.size), k / 1024,
+                                     np.resize([1e16, 99999999999999999.0], k.size))),
+            "no": noise[[not last_group_is_0000(x) for x in noise.tolist()]][:, None],
+        }[which]
+        ends = [last_group_is_0000(x) for x in table.reshape(-1).tolist()]
+        assert (any(ends), all(ends)) == {
+            "every": (True, True), "some": (True, False), "no": (False, False)}[which]
+        assert _csv_rows(table) == percent_rows(table)
+        assert _csv_rows(table, b"fill_factor") == percent_rows(table, b"fill_factor")
 
 
 class TestOverwriteInPlace:

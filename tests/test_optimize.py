@@ -139,6 +139,40 @@ class TestSweepKernel:
         assert isinstance(err, SweepError)
         assert err.value == grid(lo, hi, n, spacing)[index]
 
+    @pytest.mark.parametrize("fault", ["couples", "conduction"])
+    @pytest.mark.parametrize("parameter", SWEEPABLE_PARAMETERS)
+    def test_fixed_inputs_alone_make_every_point_invalid(
+        self, annealed, parameter, fault
+    ):
+        # couples: N < 1 at fill factor 1e-7 whatever the swept value; where
+        # the fill factor is swept, v_oc^2 overflows at dt_meas 1e300.
+        # conduction: at device_area 5e-324, A_dev lambda underflows to 0,
+        # and where no swept value enters it, L / (A_dev lambda) is a scalar
+        # division by zero. valid must stay a bool array, and no error may
+        # escape the kernel, when the quantity that fails is a scalar.
+        lo, hi = {"leg_length": (1e-5, 1e-3), "fill_factor": (0.05, 1.0),
+                  "contact_resistivity": (0.0, 1e-8),
+                  "interface_resistance": (0.0, 20.0),
+                  "dt_meas": (0.0, 80.0)}[parameter]
+        design, dt = annealed, 40.0
+        if fault == "conduction":
+            design = dataclasses.replace(annealed, device_area=5e-324)
+        elif parameter == "fill_factor":
+            dt = 1e300
+        else:
+            design = dataclasses.replace(annealed, fill_factor=1e-7)
+        values = grid(lo, hi, 7, "linear")
+        valid, columns = evaluate_columns(design, dt, parameter, values)
+        assert isinstance(valid, np.ndarray)
+        assert (valid.dtype, valid.shape, valid.any()) == (np.dtype(bool), (7,), False)
+        for column in columns:
+            assert (type(column), column.dtype, column.shape) == (
+                np.ndarray, np.dtype(np.float64), (7,))
+        err = assert_sweep_matches_the_scalar_path(
+            design, dt, parameter, lo, hi, 7, "linear")
+        assert isinstance(err, SweepError)
+        assert err.value == values[0]
+
 
 class TestSweep:
     def test_two_points_are_exactly_the_endpoints(self, annealed):

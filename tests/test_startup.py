@@ -70,9 +70,14 @@ def test_scalar_commands_run_without_numpy(argv, tmp_path):
 
 
 def test_importing_the_writers_builds_no_formatter_table():
+    # The first kernel call builds every table, the trailing-zero table of
+    # the 10^4 4-digit groups among them; importing the module builds none.
     code = ("import sys, tegkit.output as o; "
-            "print(o._cell_tables.cache_info().currsize, 'numpy' in sys.modules)")
-    assert run(code).stdout.split() == ["0", "False"]
+            "print(o._cell_tables.cache_info().currsize, 'numpy' in sys.modules); "
+            "import numpy as np; o._csv_rows(np.ones((1, 1))); "
+            "print(o._cell_tables.cache_info().currsize, sum(t.dtype == np.int8 "
+            "and t.shape == (10**4,) for t in o._cell_tables()))")
+    assert run(code).stdout.split() == ["0", "False", "1", "1"]
 
 
 def test_a_malformed_config_is_rejected_without_numpy(tmp_path):
