@@ -318,7 +318,7 @@ def calibrate_seebeck(
 
     Closed form: alpha = sqrt(4 R_i A_dev target) / (N dt_gen). The design's
     own Seebeck values are ignored; geometry, resistivities, and interfaces
-    are taken as given.
+    are taken as given. An N dt_gen that underflows to 0 raises NumericalError.
     """
     if not 0 < target_density < inf:
         raise ParameterError("target_density must be finite and > 0")
@@ -332,4 +332,7 @@ def calibrate_seebeck(
     r_gen = generator_thermal_resistance(design)
     dt_gen = thermal_divider(dt_meas, r_gen, design.interface_resistance)
     r_i = internal_resistance(design)
+    if not n * dt_gen > 0:
+        raise NumericalError(f"calibration: N dt_gen underflows to 0 (dt_gen = {dt_gen:g} "
+                             "K); the couple coefficient is beyond the float range")
     return sqrt(4 * r_i * design.device_area * target_density) / (n * dt_gen)

@@ -25,7 +25,7 @@ from .device import (
     evaluate_columns,
     generator_thermal_resistance,
 )
-from .errors import ComparisonError, ParameterError, SweepError, TegkitError
+from .errors import ComparisonError, NumericalError, ParameterError, SweepError, TegkitError
 
 SWEEPABLE_PARAMETERS = (
     "leg_length",
@@ -36,8 +36,8 @@ SWEEPABLE_PARAMETERS = (
 )
 #: Most points one sweep may hold. The curve keeps nine float64 arrays (the
 #: values and eight distinct columns; q_hot and q_cold are one array), 72
-#: bytes per point, and `emit_curve` adds a 56-byte table row per point: a
-#: 10^6-point CLI sweep peaks at 185 MB RSS (2-CPU Xeon, numpy 2.4).
+#: bytes per point; `emit_curve` writes a block of rows at a time, so a
+#: 10^6-point CLI sweep peaks at 107 MB RSS (2-CPU Xeon, numpy 2.4).
 MAX_POINTS = 10**6
 
 _POINT_FIELDS = tuple(f.name for f in fields(OperatingPoint))
@@ -89,15 +89,18 @@ class ComparisonTable:
         raise KeyError(name)
 
     def density_ratio(self, a: str, b: str) -> float:
-        """Power density of a over that of b; ComparisonError names b if its
-        density is zero (as every density is at dt_meas = 0)."""
+        """a's power density over b's: ComparisonError names b if its density is 0
+        (as at dt_meas = 0); a ratio beyond the float range raises NumericalError."""
         denominator = self.point(b).power_density
         if denominator == 0:
             raise ComparisonError(
                 b, f"design {b!r} has zero power density at dt_meas = "
                 f"{self.dt_meas:g} K; density ratios are undefined"
             )
-        return self.point(a).power_density / denominator
+        ratio = self.point(a).power_density / denominator
+        if not ratio < inf:
+            raise NumericalError(f"power density ratio {a}/{b} is beyond the float range")
+        return ratio
 
     def ratios(self) -> dict[str, float]:
         out = {}

@@ -2,10 +2,10 @@
 
 All three CSV writers format numeric cells as `%.17g` so a reader recovers
 the exact binary values; emission is deterministic byte for byte.
-A sweep curve and a deposit series are written in blocks of rows: one
-vectorised kernel (`_csv_rows`) formats a block's cells with the bytes of
-`%.17g`, and the block is written at once. A comparison table has a few
-rows and keeps Python's `%`, so `compare` never loads numpy.
+A sweep curve and a deposit series share one writer: each block of rows, in
+display units, fills one reused buffer of BLOCK_CELLS cells, which one
+vectorised kernel (`_csv_rows`) formats with the bytes of `%.17g`. A
+comparison table keeps `%` for its few rows, so `compare` never loads numpy.
 
 Every file is written through `overwrite`: an existing file is overwritten
 in place and then cut to the new length, never truncated to 0 first, and
@@ -33,20 +33,21 @@ from .ecd import DepositState
 from .errors import NumericalError, ParameterError
 from .optimize import ComparisonTable, SweepCurve
 
-SWEEP_COLUMNS = [
-    "param_name",
-    "param_value_si",
-    "dt_gen_K",
-    "v_oc_V",
-    "r_internal_ohm",
-    "p_matched_W",
-    "p_density_uW_cm2",
-    "eff_factor_uW_cm2_K2",
-]
+#: Operating-point cells of the sweep and comparison CSVs: (field, header, divisor)
+_POINT_CELLS = (
+    ("dt_gen", "dt_gen_K", 1.0),
+    ("v_oc", "v_oc_V", 1.0),
+    ("r_internal", "r_internal_ohm", 1.0),
+    ("p_matched", "p_matched_W", 1.0),
+    ("power_density", "p_density_uW_cm2", UW_CM2_TO_W_M2),
+    ("eff_factor", "eff_factor_uW_cm2_K2", UW_CM2_TO_W_M2),
+)
+
+SWEEP_COLUMNS = ["param_name", "param_value_si"] + [h for _, h, _ in _POINT_CELLS]
 
 ECD_COLUMNS = ["t_s", "thickness_um", "surface_conc_mol_m3"]
 
-COMPARE_COLUMNS = ["design"] + SWEEP_COLUMNS[2:]
+COMPARE_COLUMNS = ["design"] + [h for _, h, _ in _POINT_CELLS]
 
 
 @contextlib.contextmanager
@@ -74,27 +75,13 @@ def overwrite(path: str | Path, mode: str = "w", **kwargs):
 
 
 def emit_curve(curve: SweepCurve, path: str | Path) -> None:
-    """Write a sweep curve as plot-ready CSV (one row per parameter value).
-
-    The parameter name (one of SWEEPABLE_PARAMETERS) and the numbers hold no
-    quote or separator character, so the bytes are those csv.writer would
-    write.
-    """
+    """Write a sweep curve as plot-ready CSV: one row per parameter value,
+    led by the parameter's name (one of SWEEPABLE_PARAMETERS)."""
     if len(curve.values) == 0:
         raise ParameterError("cannot emit an empty curve")
-    import numpy as np
-
-    # C order, so each block's `reshape(-1)` in `_csv_rows` is a view
-    table = np.column_stack((
-        curve.values,
-        *map(curve.column, ("dt_gen", "v_oc", "r_internal", "p_matched")),
-        *(curve.column(name) / UW_CM2_TO_W_M2 for name in ("power_density", "eff_factor")),
-    ))
-    rows = BLOCK_CELLS // table.shape[1]
-    with overwrite(path, "wb") as handle:
-        handle.write((",".join(SWEEP_COLUMNS) + "\n").encode())
-        for start in range(0, len(table), rows):
-            handle.write(_csv_rows(table[start:start + rows], curve.parameter.encode()))
+    _write_blocks(path, SWEEP_COLUMNS, [(curve.values, 1.0)] + [
+        (curve.column(field), divisor) for field, _, divisor in _POINT_CELLS
+    ], curve.parameter.encode())
 
 
 def emit_comparison(table: ComparisonTable, path: str | Path) -> None:
@@ -104,29 +91,35 @@ def emit_comparison(table: ComparisonTable, path: str | Path) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(COMPARE_COLUMNS)
         for name, op in table.rows:
-            writer.writerow([name] + ["%.17g" % x for x in (
-                op.dt_gen, op.v_oc, op.r_internal, op.p_matched,
-                op.power_density / UW_CM2_TO_W_M2, op.eff_factor / UW_CM2_TO_W_M2)])
+            writer.writerow([name] + ["%.17g" % (getattr(op, field) / divisor)
+                                      for field, _, divisor in _POINT_CELLS])
 
 
 def emit_deposit_series(state: DepositState, path: str | Path) -> None:
-    """Write the deposit time series as CSV, one block of rows per write.
+    """Write the deposit time series as CSV, one row per recorded instant."""
+    _write_blocks(path, ECD_COLUMNS, [
+        (state.times, 1.0),
+        (state.thickness_series, 1e-6),
+        (state.surface_conc_series, 1.0),
+    ])
 
-    The cells hold no quote or separator characters, so `%.17g` cells joined
-    by commas are the bytes csv.writer would write.
-    """
+
+def _write_blocks(path: str | Path, header: list[str], columns, lead: bytes = b""):
+    """Write `header` and the `_csv_rows` lines of `columns`, (float64 array,
+    divisor) pairs of one length, each array over its divisor. No cell holds
+    a quote or separator character, so these are csv.writer's bytes."""
     import numpy as np
 
-    rows = BLOCK_CELLS // len(ECD_COLUMNS)
+    n = len(columns[0][0])
+    buffer = np.empty((BLOCK_CELLS // len(columns), len(columns)))
     with overwrite(path, "wb") as handle:
-        handle.write((",".join(ECD_COLUMNS) + "\n").encode())
-        for start in range(0, state.times.size, rows):
-            block = slice(start, start + rows)
-            handle.write(_csv_rows(np.column_stack((
-                state.times[block],
-                state.thickness_series[block] / 1e-6,
-                state.surface_conc_series[block],
-            ))))
+        handle.write((",".join(header) + "\n").encode())
+        for start in range(0, n, len(buffer)):
+            block = buffer[:n - start]  # C order, so `_csv_rows` views it flat
+            for i, (column, divisor) in enumerate(columns):
+                part = column[start:start + len(block)]
+                block[:, i] = part if divisor == 1 else part / divisor  # a copy costs less
+            handle.write(_csv_rows(block, lead))
 
 
 #: Cells per block of a sweep curve or deposit series (219 curve rows, 512

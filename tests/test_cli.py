@@ -460,8 +460,16 @@ class TestNonFiniteInputs:
 
 
 class TestOverflow:
-    """An input near the float range squares past it: a named error, one
-    stderr line, no traceback, no CSV."""
+    """An input near the float range squares past it, or a result underflows
+    or overflows: a named error, one stderr line, no traceback, no CSV."""
+
+    @staticmethod
+    def annealed_with(tmp_path, **design):
+        doc = json.loads(Path(ANNEALED).read_text())
+        doc["design"].update(design)
+        cfg = tmp_path / "extreme.json"
+        cfg.write_text(json.dumps(doc))
+        return str(cfg)
 
     def test_eval_exits_2_naming_the_quantity(self, capsys):
         code, out, err = run(capsys, "eval", "--config", ANNEALED,
@@ -480,6 +488,33 @@ class TestOverflow:
         assert err.startswith("error: design 'cu_ni': p_matched overflows")
         assert err.count("\n") == 1
         assert not out_csv.exists()
+
+    def test_compare_ratio_beyond_the_float_range_exits_2_and_writes_no_csv(
+            self, capsys, tmp_path):
+        # one density is about 6e-316 uW/cm2, so a ratio over it overflows
+        cfg = self.annealed_with(tmp_path, contact_resistivity_ohm_cm2=1e300,
+                                 interface_resistance_K_W=1.83e7, device_area_cm2=0.77)
+        out_csv = tmp_path / "table.csv"
+        code, out, err = run(capsys, "compare", "--config", cfg, "--config",
+                             ANNEALED, "--dt", "40", "--out", str(out_csv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical failure: power density ratio")
+        assert err.count("\n") == 1
+        assert not out_csv.exists()
+
+    def test_calibrate_divider_underflow_exits_2(self, capsys, tmp_path):
+        # N is about 1e303 and dt_gen underflows to 0 at dt_meas = 1e-300 K
+        cfg = self.annealed_with(tmp_path, device_area_cm2=1e300,
+                                 contact_resistivity_ohm_cm2=2e-14)
+        out_path = tmp_path / "report.json"
+        code, out, err = run(capsys, "calibrate", "--config", cfg, "--dt", "1e-300",
+                             "--target", "278.5", "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical failure: calibration: N dt_gen underflows")
+        assert err.count("\n") == 1
+        assert not out_path.exists()
 
     def test_sweep_exits_1_and_writes_no_csv(self, capsys, recwarn, tmp_path):
         out_csv = tmp_path / "curve.csv"

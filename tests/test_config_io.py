@@ -7,6 +7,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -552,6 +553,33 @@ class TestDepositSeriesEmission:
         data = self.assert_row_by_row_bytes(state, tmp_path)
         rows = data.decode().splitlines()[1:]
         assert [row.split(",")[1] for row in rows] == ["0", "-0", "nan", "-0", "0", "nan", "1"]
+
+
+class TestEmissionMemory:
+    """A curve or series is written a block at a time through one reused
+    buffer, so emission allocates about a block's worth of memory, not a
+    table's: a whole 10^5-point curve table alone is 5.6 MB."""
+
+    @pytest.mark.parametrize("kind", ["curve", "series"])
+    def test_peak_at_10_5_rows_stays_under_1_5_MB(self, kind, tmp_path, annealed):
+        rows = 10**5
+        if kind == "curve":
+            source = sweep(annealed, 40.0, "leg_length", 1e-5, 1e-3, rows)
+            emit = emit_curve
+        else:
+            k = np.arange(rows)
+            source = deposit_state(k * 1e-3, k * 3.3e-10 / 7.0,
+                                   80.0 * (1 - (k % 97) / 131.0))
+            emit = emit_deposit_series
+        emit(source, tmp_path / "warm.csv")  # builds the kernel's tables once
+        tracemalloc.start()
+        try:
+            emit(source, tmp_path / "table.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+        assert len((tmp_path / "table.csv").read_bytes().splitlines()) == rows + 1
 
 
 def percent_rows(table: np.ndarray, lead: bytes = b"") -> bytes:
