@@ -112,7 +112,10 @@ def generator_thermal_resistance(design: GeneratorDesign) -> float:
     area_lam = design.device_area * lam
     if not area_lam > 0:
         raise DegenerateDesignError("no thermal conduction path through device")
-    return design.leg_length / area_lam
+    r_gen = design.leg_length / area_lam  # can underflow to 0 too
+    if not r_gen > 0:
+        raise DegenerateDesignError("r_gen must be > 0")
+    return r_gen
 
 
 def thermal_divider(dt_meas: float, r_gen: float, k_if: float) -> float:

@@ -527,6 +527,9 @@ def simulate_diffusion(
             f"total_time / dt = {n_steps} steps exceeds the {MAX_STEPS} steps "
             f"one run may take (total_time = {plan.total_time!r} s, dt = {dt!r} s)"
         )
+    # Any record_every past the last step records steps 0 and n_steps alone;
+    # clamped, it stays a machine-size int for numpy.
+    record_every = min(record_every, n_steps + 1)
     import numpy as np
 
     r = bath.diffusivity * dt / (dx * dx)

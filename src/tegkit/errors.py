@@ -1,7 +1,10 @@
 """Exception hierarchy.
 
 The CLI maps these to exit codes: NumericalError and subclasses exit 2,
-every other TegkitError exits 1.
+every other TegkitError exits 1, from every subcommand. A failure at one
+sweep point or in one compared design keeps its class, so its exit code;
+`sweep` and `compare_designs` only prefix the message with that point
+(`dt_meas = 5e+299: ...`) or design (`design 'cu_ni': ...`).
 """
 
 
@@ -31,23 +34,6 @@ class UnknownMaterialError(TegkitError, KeyError):
 
 class ExtrapolationError(TegkitError, ValueError):
     """Input outside the range covered by measured anchors."""
-
-
-class SweepError(TegkitError):
-    """Evaluation failed at one sweep point; carries the offending value."""
-
-    def __init__(self, parameter: str, value: float, message: str):
-        self.parameter = parameter
-        self.value = value
-        super().__init__(message)
-
-
-class ComparisonError(TegkitError):
-    """Evaluation failed for one named design in a comparison."""
-
-    def __init__(self, design_name: str, message: str):
-        self.design_name = design_name
-        super().__init__(message)
 
 
 class ConfigError(TegkitError, ValueError):

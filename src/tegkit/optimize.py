@@ -25,7 +25,7 @@ from .device import (
     evaluate_columns,
     generator_thermal_resistance,
 )
-from .errors import ComparisonError, NumericalError, ParameterError, SweepError, TegkitError
+from .errors import NumericalError, ParameterError, TegkitError
 
 SWEEPABLE_PARAMETERS = (
     "leg_length",
@@ -89,12 +89,12 @@ class ComparisonTable:
         raise KeyError(name)
 
     def density_ratio(self, a: str, b: str) -> float:
-        """a's power density over b's: ComparisonError names b if its density is 0
+        """a's power density over b's: ParameterError names b if its density is 0
         (as at dt_meas = 0); a ratio beyond the float range raises NumericalError."""
         denominator = self.point(b).power_density
         if denominator == 0:
-            raise ComparisonError(
-                b, f"design {b!r} has zero power density at dt_meas = "
+            raise ParameterError(
+                f"design {b!r} has zero power density at dt_meas = "
                 f"{self.dt_meas:g} K; density ratios are undefined"
             )
         ratio = self.point(a).power_density / denominator
@@ -164,12 +164,13 @@ def sweep(
         values = np.linspace(lo, hi, n_points)
     valid, columns = evaluate_columns(design, dt_meas, parameter, values)
     # The scalar path raises at the first point the model rejects, with the
-    # error and message that point has always produced.
+    # error and message that point has always produced, led by the point.
     for v in values[~valid].tolist():
         try:
             _evaluate_at(design, dt_meas, parameter, v)
         except TegkitError as exc:
-            raise SweepError(parameter, v, f"{parameter} = {v:g}: {exc}") from exc
+            exc.args = (f"{parameter} = {v:g}: {exc}",)
+            raise
     for array in (values, *columns):
         array.flags.writeable = False
     return SweepCurve(parameter, values, columns)
@@ -206,7 +207,7 @@ def optimize_leg_length(
 def compare_designs(
     designs: Mapping[str, GeneratorDesign], dt_meas: float
 ) -> ComparisonTable:
-    """Evaluate named designs at a common dt_meas."""
+    """Evaluate named designs at a common dt_meas; an error is led by its design."""
     if len(designs) < 2:
         raise ParameterError("compare_designs requires at least 2 designs")
     _check_dt_meas(dt_meas)
@@ -215,5 +216,6 @@ def compare_designs(
         try:
             rows.append((name, evaluate(design, dt_meas)))
         except TegkitError as exc:
-            raise ComparisonError(name, f"design {name!r}: {exc}") from exc
+            exc.args = (f"design {name!r}: {exc}",)
+            raise
     return ComparisonTable(dt_meas=dt_meas, rows=tuple(rows))

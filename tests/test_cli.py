@@ -349,6 +349,23 @@ class TestEcdCommands:
         assert len(rows) == 501
         assert rows[200][1] == rows[-1][1] != rows[199][1]
 
+    def test_record_every_past_the_run_records_its_ends(self, capsys, tmp_path):
+        # 1e300 reached numpy as a Python int too large for any of its types
+        csvs = []
+        for record_every in (1e300, 1e19):
+            doc = json.loads(Path(ECD).read_text())
+            doc["ecd"]["sim"]["record_every"] = record_every
+            cfg = tmp_path / "sparse.json"
+            cfg.write_text(json.dumps(doc))
+            out_csv = tmp_path / f"series-{record_every:g}.csv"
+            code, _, err = run(capsys, "ecd", "simulate", "--config", str(cfg),
+                               "--out", str(out_csv))
+            assert code == 0, err
+            csvs.append(out_csv.read_bytes())
+        assert csvs[0] == csvs[1]
+        assert [row.split(",")[0] for row in csvs[0].decode().splitlines()[1:]] == [
+            "0", "25"]
+
     def test_run_too_long_to_simulate_exits_1(self, capsys, tmp_path):
         cases = [
             # 1e19 steps of 1 ms: the solver looped block after block, no end
@@ -479,13 +496,13 @@ class TestOverflow:
         assert err.startswith("numerical failure: p_matched overflows")
         assert err.count("\n") == 1
 
-    def test_compare_exits_1_and_writes_no_csv(self, capsys, tmp_path):
+    def test_compare_exits_2_and_writes_no_csv(self, capsys, tmp_path):
         out_csv = tmp_path / "table.csv"
         code, out, err = run(capsys, "compare", "--config", CUNI, "--config",
                              ANNEALED, "--dt", "1e300", "--out", str(out_csv))
-        assert code == 1
+        assert code == 2
         assert out == ""
-        assert err.startswith("error: design 'cu_ni': p_matched overflows")
+        assert err.startswith("numerical failure: design 'cu_ni': p_matched overflows")
         assert err.count("\n") == 1
         assert not out_csv.exists()
 
@@ -503,6 +520,15 @@ class TestOverflow:
         assert err.count("\n") == 1
         assert not out_csv.exists()
 
+    def test_optimize_r_gen_underflow_exits_1(self, capsys, tmp_path):
+        # L / (A_dev lambda) underflows to 0, as eval and calibrate report it
+        cfg = self.annealed_with(tmp_path, device_area_cm2=1e300, leg_length_um=1e-300)
+        code, out, err = run(capsys, "optimize", "--config", cfg, "--dt", "40",
+                             "--from", "1e-6", "--to", "1e-3")
+        assert code == 1
+        assert out == ""
+        assert err == "error: r_gen must be > 0\n"
+
     def test_calibrate_divider_underflow_exits_2(self, capsys, tmp_path):
         # N is about 1e303 and dt_gen underflows to 0 at dt_meas = 1e-300 K
         cfg = self.annealed_with(tmp_path, device_area_cm2=1e300,
@@ -516,16 +542,17 @@ class TestOverflow:
         assert err.count("\n") == 1
         assert not out_path.exists()
 
-    def test_sweep_exits_1_and_writes_no_csv(self, capsys, recwarn, tmp_path):
+    def test_sweep_exits_2_and_writes_no_csv(self, capsys, recwarn, tmp_path):
         out_csv = tmp_path / "curve.csv"
         code, out, err = run(
             capsys, "sweep", "--config", ANNEALED, "--dt", "40",
             "--param", "dt_meas", "--from", "1", "--to", "1e300",
             "--points", "3", "--out", str(out_csv),
         )
-        assert code == 1
+        assert code == 2
         assert out == ""
-        assert err.startswith("error: dt_meas = 5e+299: p_matched overflows")
+        assert err.startswith(
+            "numerical failure: dt_meas = 5e+299: p_matched overflows")
         assert err.count("\n") == 1
         assert not out_csv.exists()
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

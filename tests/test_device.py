@@ -95,10 +95,13 @@ class TestDesignInvariants:
         with pytest.raises(InvariantError):
             make_design(k_if=-1.0)
 
-    @pytest.mark.parametrize("field", ["leg_length", "leg_area", "rho_c", "k_if"])
+    @pytest.mark.parametrize("field", [
+        "leg_length", "leg_area", "device_area", "rho_c", "k_if"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_rejects_non_finite_fields(self, field, value):
-        with pytest.raises(InvariantError):
+        name = {"rho_c": "contact_resistivity", "k_if": "interface_resistance"}.get(
+            field, field)
+        with pytest.raises(InvariantError, match=f"^{name} must be finite and >=? 0$"):
             make_design(**{field: value})
 
     def test_matrix_must_be_insulating(self):
@@ -150,6 +153,33 @@ class TestThermalResistance:
         valid, _ = evaluate_columns(design, 40.0, "leg_length",
                                     np.array([design.leg_length]))
         assert valid.tolist() == [False]
+
+
+class TestDomainGuards:
+    # (function, arguments, the error's exact class, its message)
+    GUARDS = [
+        # L / (A_dev lambda) = 1e-320 / 3e9 underflows to 0
+        (generator_thermal_resistance,
+         (make_design(leg_length=1e-320, device_area=1e10),),
+         DegenerateDesignError, "r_gen must be > 0"),
+        (thermal_divider, (40.0, 4.5, -1.0), ParameterError, "k_if must be >= 0"),
+        (calibrate_r_gen, (40.0, 21.4, 0.0), ParameterError, "k_if must be > 0"),
+        (calibrate_r_gen, (40.0, 0.0, 3.9), ParameterError, "dt_gen must be > 0"),
+        (load_power, (1.0, 0.0, 1.0), ParameterError, "r_internal must be > 0"),
+        (load_power, (1.0, 1.0, -1.0), ParameterError, "r_load must be >= 0"),
+        (matched_load_power, (1.0, 0.0), ParameterError, "r_internal must be > 0"),
+        # dt_meas^2 = 1e-340 underflows to 0
+        (efficiency_factor, (1.0, 1e-170), ParameterError,
+         "dt_meas too small: dt_meas^2 underflows"),
+    ]
+
+    @pytest.mark.parametrize("function, args, error, message", GUARDS, ids=[
+        "r_gen-underflow", "divider-k_if", "calibrate-k_if", "calibrate-dt_gen",
+        "load-r_internal", "load-r_load", "matched-r_internal", "eff-dt_sq-underflow"])
+    def test_refuses_with_a_named_error(self, function, args, error, message):
+        with pytest.raises(error) as err:
+            function(*args)
+        assert (type(err.value), str(err.value)) == (error, message)
 
 
 class TestThermalDivider:

@@ -135,6 +135,10 @@ class TestTimeToThickness:
         with pytest.raises(ParameterError):
             time_to_thickness(300e-6, plan(j_pulse=0.0), BATH)
 
+    def test_negative_target_rejected(self):
+        with pytest.raises(ParameterError, match="^target must be >= 0$"):
+            time_to_thickness(-1e-6, plan(), BATH)
+
 
 SAND_C = 80.0
 SAND_D = 1e-9
@@ -228,6 +232,8 @@ class TestDiffusionSimulation:
             simulate_diffusion(300e-6, BATH, plan(), 64, 0.0)
         with pytest.raises(ParameterError, match=f"grid must be <= {MAX_GRID}"):
             simulate_diffusion(300e-6, BATH, plan(), MAX_GRID + 1, 1e-4)
+        with pytest.raises(ParameterError, match="^record_every must be >= 1$"):
+            simulate_diffusion(300e-6, BATH, plan(), 64, 1e-4, record_every=0)
 
     def test_stability_gate(self):
         # grid 301 over 300 um: dx = 1 um, bound = 0.5 dx^2 / D = 5e-4 s

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tegkit.device import OperatingPoint, evaluate, evaluate_columns
-from tegkit.errors import ComparisonError, ParameterError, SweepError, TegkitError
+from tegkit.errors import (
+    DegenerateDesignError,
+    NumericalError,
+    ParameterError,
+    TegkitError,
+)
 from tegkit.optimize import (
     SWEEPABLE_PARAMETERS,
     compare_designs,
@@ -31,7 +36,8 @@ def grid_argmax(design, dt, lo, hi, n=10_000):
 def scalar_sweep(design, dt, parameter, values):
     """Point-by-point sweep through scalar `evaluate`: the kernel's oracle.
 
-    Returns the points, or the SweepError the first failing point raises.
+    Returns (points, None), or (None, (class, message)) of the error that
+    `sweep` must raise: the first failing point's own, led by that point.
     """
     points = []
     for v in values.tolist():  # Python floats, as the CLI passes them
@@ -41,9 +47,9 @@ def scalar_sweep(design, dt, parameter, values):
             else:
                 op = evaluate(dataclasses.replace(design, **{parameter: v}), dt)
         except TegkitError as exc:
-            return SweepError(parameter, v, f"{parameter} = {v:g}: {exc}")
+            return None, (type(exc), f"{parameter} = {v:g}: {exc}")
         points.append((v, op))
-    return tuple(points)
+    return tuple(points), None
 
 
 def grid(lo, hi, n, spacing):
@@ -56,17 +62,16 @@ def bits(points):
 
 
 def assert_sweep_matches_the_scalar_path(design, dt, parameter, lo, hi, n, spacing):
-    expected = scalar_sweep(design, dt, parameter, grid(lo, hi, n, spacing))
+    expected, failure = scalar_sweep(design, dt, parameter, grid(lo, hi, n, spacing))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy RuntimeWarning either
         try:
             curve = sweep(design, dt, parameter, lo, hi, n, spacing=spacing)
-        except SweepError as err:
-            assert isinstance(expected, SweepError), f"unexpected error: {err}"
-            assert (err.parameter, err.value, str(err)) == (
-                expected.parameter, expected.value, str(expected))
+        except TegkitError as err:
+            assert failure is not None, f"unexpected error: {err!r}"
+            assert (type(err), str(err)) == failure  # the exact class, not a subclass
             return err
-    assert not isinstance(expected, SweepError), f"no error, expected: {expected}"
+    assert failure is None, f"no error, expected: {failure}"
     assert curve.parameter == parameter
     assert bits(curve.points) == bits(expected)
     return curve
@@ -136,8 +141,8 @@ class TestSweepKernel:
     ):
         err = assert_sweep_matches_the_scalar_path(
             annealed, 40.0, parameter, lo, hi, n, spacing)
-        assert isinstance(err, SweepError)
-        assert err.value == grid(lo, hi, n, spacing)[index]
+        value = grid(lo, hi, n, spacing)[index]
+        assert str(err).startswith(f"{parameter} = {value:g}: ")
 
     @pytest.mark.parametrize("fault", ["couples", "conduction"])
     @pytest.mark.parametrize("parameter", SWEEPABLE_PARAMETERS)
@@ -170,8 +175,7 @@ class TestSweepKernel:
                 np.ndarray, np.dtype(np.float64), (7,))
         err = assert_sweep_matches_the_scalar_path(
             design, dt, parameter, lo, hi, 7, "linear")
-        assert isinstance(err, SweepError)
-        assert err.value == values[0]
+        assert str(err).startswith(f"{parameter} = {values[0]:g}: ")
 
 
 class TestSweep:
@@ -229,6 +233,11 @@ class TestSweep:
         with pytest.raises(ParameterError):
             sweep(annealed, 40.0, "leg_color", 1e-5, 1e-3, 5)
 
+    def test_unknown_spacing_rejected(self, annealed):
+        with pytest.raises(ParameterError) as err:
+            sweep(annealed, 40.0, "leg_length", 1e-5, 1e-3, 5, spacing="cubic")
+        assert str(err.value) == "spacing must be 'linear' or 'log', got 'cubic'"
+
     def test_too_few_points_rejected(self, annealed):
         with pytest.raises(ParameterError):
             sweep(annealed, 40.0, "leg_length", 1e-5, 1e-3, 1)
@@ -251,10 +260,9 @@ class TestSweep:
 
     def test_failure_carries_the_offending_value(self, annealed):
         # fill factors below ~2e-4 drop the couple count under one
-        with pytest.raises(SweepError) as err:
+        with pytest.raises(DegenerateDesignError) as err:
             sweep(annealed, 40.0, "fill_factor", 1e-7, 0.5, 4)
-        assert err.value.parameter == "fill_factor"
-        assert err.value.value == pytest.approx(1e-7)
+        assert str(err.value).startswith("fill_factor = 1e-07: couple count N = ")
 
 
 class TestOptimizeLegLength:
@@ -370,19 +378,27 @@ class TestCompareDesigns:
             with pytest.raises(ParameterError, match="dt_meas"):
                 compare_designs({"a": annealed, "b": cuni}, dt_meas)
 
+    def test_unknown_design_name_is_a_key_error(self, annealed, cuni):
+        table = compare_designs({"a": annealed, "b": cuni}, 40.0)
+        with pytest.raises(KeyError) as err:
+            table.point("c")
+        assert (type(err.value), err.value.args) == (KeyError, ("c",))
+
     def test_ratio_over_a_zero_density_names_that_design(self, annealed, cuni):
         table = compare_designs({"a": annealed, "b": cuni}, 0.0)
-        with pytest.raises(ComparisonError, match="zero power density") as err:
+        with pytest.raises(ParameterError) as err:
             table.ratios()
-        assert err.value.design_name == "b"
+        assert str(err.value) == ("design 'b' has zero power density at dt_meas = 0 K; "
+                                  "density ratios are undefined")
 
     def test_overflow_is_tagged_with_the_design_name(self, annealed, cuni):
-        with pytest.raises(ComparisonError, match="p_matched") as err:
+        with pytest.raises(NumericalError) as err:
             compare_designs({"annealed": annealed, "cu_ni": cuni}, 1e300)
-        assert err.value.design_name == "annealed"
+        assert type(err.value) is NumericalError  # exits 2, as from eval
+        assert str(err.value).startswith("design 'annealed': p_matched overflows")
 
     def test_failures_are_tagged_with_the_design_name(self, annealed):
         broken = dataclasses.replace(annealed, fill_factor=1e-7)
-        with pytest.raises(ComparisonError) as err:
+        with pytest.raises(DegenerateDesignError) as err:
             compare_designs({"ok": annealed, "broken": broken}, 40.0)
-        assert err.value.design_name == "broken"
+        assert str(err.value).startswith("design 'broken': couple count N = ")
