@@ -3,13 +3,15 @@
 Subcommands: eval, sweep, optimize, compare, calibrate, ecd simulate,
 ecd sand-time. Every run prints a machine-readable report (JSON) to stdout.
 The --out of eval, optimize, calibrate and ecd sand-time gets the same report
-bytes; the --out of sweep, compare and ecd simulate is a CSV artifact. Exit
-codes: 0 success, 1 configuration or validation error, 2 numerical failure
-(depletion, instability).
+bytes; the --out of sweep, compare and ecd simulate is a CSV artifact, and
+either is written only once the report serialises. Exit codes: 0 success, 1
+configuration or validation error, 2 numerical failure (depletion,
+instability, a value beyond the float range).
 """
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 from .config import MA_CM2_TO_A_M2, UV_K_TO_V_K, UW_CM2_TO_W_M2, parse_design
@@ -67,7 +69,7 @@ def _cmd_eval(args):
         "inputs": {"config": args.config, "dt_meas_K": args.dt,
                    "design": _design_dict(cfg.design)},
         "outputs": operating_point_dict(op),
-    }
+    }, None
 
 
 def _cmd_sweep(args):
@@ -82,7 +84,6 @@ def _cmd_sweep(args):
         args.points,
         spacing=spacing,
     )
-    emit_curve(curve, args.out)
     densities = curve.column("power_density")
     best_idx = int(densities.argmax())  # the first maximum on ties
     return {
@@ -92,7 +93,7 @@ def _cmd_sweep(args):
         "outputs": {"csv": str(args.out), "rows": len(curve.values),
                     "best_param_value_si": curve.values.item(best_idx),
                     "best_p_density_uW_cm2": densities.item(best_idx) / UW_CM2_TO_W_M2},
-    }
+    }, partial(emit_curve, curve)
 
 
 def _cmd_optimize(args):
@@ -105,7 +106,7 @@ def _cmd_optimize(args):
                     "best_leg_length_um": result.best_value / 1e-6,
                     "iterations": result.iterations,
                     "best_point": operating_point_dict(result.best_point)},
-    }
+    }, None
 
 
 def _cmd_compare(args):
@@ -114,15 +115,12 @@ def _cmd_compare(args):
         raise UsageError("config file stems must be distinct design names")
     designs = {n: parse_design(c).design for n, c in zip(names, args.config)}
     table = compare_designs(designs, args.dt)
-    ratios = table.ratios()  # before any CSV is written: it may raise
-    if args.out:
-        emit_comparison(table, args.out)
     return {
         "inputs": {"configs": list(args.config), "dt_meas_K": args.dt},
         "outputs": {"csv": str(args.out) if args.out else None,
                     "rows": {name: operating_point_dict(op) for name, op in table.rows},
-                    "p_density_ratios": ratios},
-    }
+                    "p_density_ratios": table.ratios()},
+    }, partial(emit_comparison, table) if args.out else None
 
 
 def _cmd_calibrate(args):
@@ -136,7 +134,7 @@ def _cmd_calibrate(args):
         "outputs": {"couple_seebeck_V_K": couple,
                     "couple_seebeck_uV_K": couple / UV_K_TO_V_K,
                     "leg_seebeck_uV_K": couple / 2 / UV_K_TO_V_K},
-    }
+    }, None
 
 
 def _require_section(value, name: str):
@@ -153,7 +151,6 @@ def _cmd_ecd_simulate(args):
     state = simulate_diffusion(
         sim.mold_depth, bath, plan, sim.grid, sim.dt, sim.record_every
     )
-    emit_deposit_series(state, args.out)
     return {
         "inputs": {"config": args.config, "mold_depth_m": sim.mold_depth,
                    "grid": sim.grid, "dt_s": sim.dt,
@@ -167,7 +164,7 @@ def _cmd_ecd_simulate(args):
                     "te_to_bi":
                         state.composition.te_to_bi if state.composition else None,
                     "duty": plan.duty},
-    }
+    }, partial(emit_deposit_series, state)
 
 
 def _cmd_ecd_sand_time(args):
@@ -189,7 +186,7 @@ def _cmd_ecd_sand_time(args):
         "outputs": {"sand_time_s": tau, "t_pulse_s": plan.t_pulse,
                     "margin": tau / plan.t_pulse},
         "warnings": warnings,
-    }
+    }, None
 
 
 def build_parser() -> _Parser:
@@ -201,7 +198,6 @@ def build_parser() -> _Parser:
         p.add_argument("--config", required=True, help="design config JSON")
         p.add_argument("--out", required=bool(csv_help),
                        help=csv_help or "also write the report JSON here")
-        p.set_defaults(report_out=not csv_help)
 
     p = sub.add_parser("eval", help="evaluate a design at one dt_meas")
     common(p)
@@ -263,10 +259,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         name = f"ecd {args.ecd_command}" if args.command == "ecd" else args.command
-        report = {"command": name, "argv": argv, "warnings": [], **args.func(args)}
-        text = report_text(report)
-        if getattr(args, "report_out", False) and args.out:
-            with overwrite(args.out) as handle:  # first: an unwritable path prints nothing
+        body, write_csv = args.func(args)
+        text = report_text({"command": name, "argv": argv, "warnings": [], **body})
+        # --out once the report serialises, so a failure leaves no file, and
+        # before stdout, so an unwritable path prints nothing
+        if write_csv:
+            write_csv(args.out)
+        elif args.out:
+            with overwrite(args.out) as handle:
                 handle.write(text)
         sys.stdout.write(text)
         return 0

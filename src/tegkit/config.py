@@ -18,17 +18,16 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .device import GeneratorDesign
+from .device import UW_CM2_TO_W_M2, GeneratorDesign
 from .ecd import BathSpec, PulsePlan
 from .errors import ConfigFieldError, ConfigFileError, ConfigSyntaxError, InvariantError
 from .materials import MaterialProps, lookup_material, preset_names
 
-# Display unit -> SI factors.
+# Display unit -> SI factors; UW_CM2_TO_W_M2 is device's, imported above.
 UM_TO_M = 1e-6
 UM2_TO_M2 = 1e-12
 CM2_TO_M2 = 1e-4
 MS_TO_S = 1e-3
-UW_CM2_TO_W_M2 = 1e-2
 MA_CM2_TO_A_M2 = 10.0
 OHM_CM2_TO_OHM_M2 = 1e-4
 UV_K_TO_V_K = 1e-6

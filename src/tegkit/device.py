@@ -28,6 +28,10 @@ from .errors import (
 )
 from .materials import MaterialProps
 
+#: uW/cm2 -> W/m2, the display unit of the power density and efficiency
+#: factor; `evaluate` refuses a point at which either overflows in it.
+UW_CM2_TO_W_M2 = 1e-2
+
 
 @dataclass(frozen=True)
 class GeneratorDesign:
@@ -232,7 +236,9 @@ def evaluate(design: GeneratorDesign, dt_meas: float) -> OperatingPoint:
     # Inputs near the float range can overflow a derived quantity (to inf,
     # or NaN downstream); `evaluate_columns` marks the same points invalid.
     for name, value in (("r_internal", r_i), ("power_density", density),
-                        ("q_hot", q), ("dt_meas^2", dt_sq), ("eff_factor", eff)):
+                        ("q_hot", q), ("dt_meas^2", dt_sq), ("eff_factor", eff),
+                        ("power_density in uW/cm2", density / UW_CM2_TO_W_M2),
+                        ("eff_factor in uW/cm2/K2", eff / UW_CM2_TO_W_M2)):
         if not value < inf:
             raise NumericalError(
                 f"{name} = {value:g} at dt_meas = {dt_meas:g} K: the model "
@@ -299,13 +305,15 @@ def evaluate_columns(
         dt_sq = dt * dt
         eff = np.divide(density, dt_sq, out=np.zeros_like(density),
                         where=dt_sq > 0)
+        # both must stay finite in uW/cm2 too, as `evaluate` checks
+        in_uw = (density / UW_CM2_TO_W_M2 < inf) & (eff / UW_CM2_TO_W_M2 < inf)
     valid = (
         (0 < L) & (L < inf) & (0 < F) & (F <= 1)
         & (0 <= rho_c) & (rho_c < inf) & (0 <= k_if) & (k_if < inf)
         & (0 <= dt) & (dt < inf)
         & (area_lam > 0) & (r_gen > 0) & np.logical_not(n < 1) & (r_i > 0)
         & (r_i < inf) & (density < inf) & (q < inf) & (dt_sq < inf)
-        & (eff < inf)
+        & (eff < inf) & in_uw
     )
     dt, dt_gen, v_oc, r_i, q = (
         np.full(values.shape, x) if np.ndim(x) == 0 else x

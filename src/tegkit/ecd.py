@@ -149,12 +149,21 @@ class DepositState:
 
 
 def faraday_growth_rate(j_avg: float, bath: BathSpec) -> float:
-    """Deposit growth speed, m/s, for an average current density j_avg."""
+    """Deposit growth speed, m/s, for an average current density j_avg.
+
+    A speed beyond the float range raises NumericalError.
+    """
     if j_avg < 0:
         raise ParameterError("j_avg must be >= 0")
-    return j_avg * bath.molar_mass / (
-        bath.electrons_per_formula * constants.FARADAY * bath.density
-    )
+    denominator = bath.electrons_per_formula * constants.FARADAY * bath.density
+    rate = j_avg * bath.molar_mass / denominator if denominator else inf
+    if not rate < inf:
+        raise NumericalError(
+            f"growth rate = {rate:g} m/s is beyond the float range (j_avg = "
+            f"{j_avg:g} A/m2, molar_mass = {bath.molar_mass:g} kg/mol, density = "
+            f"{bath.density:g} kg/m3, n_e = {bath.electrons_per_formula:g})"
+        )
+    return rate
 
 
 def time_to_thickness(target: float, plan: PulsePlan, bath: BathSpec) -> float:
@@ -501,7 +510,8 @@ def simulate_diffusion(
     concentration is never clamped: a step that would drive it negative
     aborts with a DepletionError carrying that time. A pulse train whose
     periodic steady state lies beyond _STEADY_LIMIT c_bulk, in the sum of
-    its modal amplitudes, raises NumericalError.
+    its modal amplitudes, or whose deposit thickness lies beyond the float
+    range, raises NumericalError.
     """
     if not 0 < mold_depth < inf:
         raise ParameterError("mold_depth must be finite and > 0")
@@ -546,10 +556,17 @@ def simulate_diffusion(
     steps = np.arange(0, n_steps + 1, record_every)
     if n_steps % record_every:
         steps = np.append(steps, n_steps)
-    thickness_series = _pulse_steps(steps, n_on, n_on + n_off) * (
-        faraday_growth_rate(plan.j_pulse, bath) * dt
-    )
-    thickness = float(thickness_series[-1])
+    pulse_steps = _pulse_steps(steps, n_on, n_on + n_off)
+    per_step = faraday_growth_rate(plan.j_pulse, bath) * dt
+    # The last count is the largest: a thickness past the float range is
+    # refused before numpy multiplies out the series.
+    thickness = pulse_steps.item(-1) * per_step
+    if not thickness < inf:
+        raise NumericalError(
+            f"thickness = {thickness:g} m is beyond the float range "
+            f"({pulse_steps.item(-1)} pulse steps of {per_step:g} m)"
+        )
+    thickness_series = pulse_steps * per_step
     try:
         composition = stoichiometry_from_bath(bath.c_bi2o3)
     except ExtrapolationError:

@@ -557,6 +557,53 @@ class TestOverflow:
         assert not out_csv.exists()
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    # A value that overflows only in a display unit (uW/cm2, um/h), or a
+    # growth rate past the float range: main writes --out only once the
+    # report serialises, so no file is left behind. The design leads the
+    # message in compare, the point in sweep; each run's stderr names the
+    # quantity except the last, whose um/h rate only the report holds.
+    @pytest.mark.parametrize("argv, lead", [
+        (["sweep", "--config", "{thin}", "--dt", "40", "--param", "dt_meas",
+          "--from", "1e-3", "--to", "2e-3", "--points", "3"],
+         "dt_meas = 0.001: eff_factor in uW/cm2/K2 = inf at dt_meas = 0.001 K"),
+        (["eval", "--config", "{thin}", "--dt", "1e-3"],
+         "eff_factor in uW/cm2/K2 = inf at dt_meas = 0.001 K"),
+        (["compare", "--config", "{thin}", "--config", "{thin2}", "--dt", "1e-3"],
+         "design 'thin': eff_factor in uW/cm2/K2 = inf"),
+        (["sweep", "--config", "{hot}", "--dt", "1.3e154", "--param", "leg_length",
+          "--from", "2e-5", "--to", "3e-5", "--points", "3"],
+         "leg_length = 2e-05: power_density in uW/cm2 = inf"),
+        (["ecd", "simulate", "--config", "{heavy}"], "growth rate = inf m/s"),
+        (["ecd", "simulate", "--config", "{heavy2}"], "report holds a non-finite number"),
+    ], ids=["sweep-eff-factor", "eval-eff-factor", "compare-eff-factor",
+            "sweep-density", "simulate-growth-rate", "simulate-growth-rate-um-h"])
+    def test_display_unit_overflow_exits_2_and_writes_no_file(self, capsys, tmp_path,
+                                                             argv, lead):
+        thin = dict(leg_length_um=8e-307, interface_resistance_K_W=0,
+                    contact_resistivity_ohm_cm2=0)
+        configs = {}
+        for name, source, update in [
+            ("thin", ANNEALED, lambda doc: doc["design"].update(thin)),
+            ("thin2", ANNEALED, lambda doc: doc["design"].update(thin)),
+            ("hot", ANNEALED, lambda doc: doc["design"].update(thin, leg_length_um=25)),
+            ("heavy", ECD, lambda doc: doc["ecd"]["bath"].update(
+                molar_mass_g_mol=1e200, density_g_cm3=1e-200)),
+            ("heavy2", ECD, lambda doc: doc["ecd"]["bath"].update(
+                molar_mass_g_mol=1e155, density_g_cm3=1e-155)),
+        ]:
+            doc = json.loads(Path(source).read_text())
+            update(doc)
+            configs[name] = tmp_path / f"{name}.json"  # compare names it "thin"
+            configs[name].write_text(json.dumps(doc))
+        out_path = tmp_path / "fresh.out"
+        code, out, err = run(capsys, *[a.format(**configs) for a in argv],
+                             "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical failure: " + lead)
+        assert err.count("\n") == 1
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("j", ["1e-200", "1e200"])
     def test_sand_time_current_exits_2_naming_the_quantity(self, capsys, j):
         code, out, err = run(capsys, "ecd", "sand-time", "--config", ECD,

@@ -1,11 +1,12 @@
 """The CLI's failure contract as a property of every run, not a list of cases.
 
-`cli.main` runs in process on the shipped configs with one to three numeric
-leaves mutated, over all seven subcommands, with the numeric arguments drawn
-the same way. A mutated number is kept, scaled by 10^U(-8, 8), or replaced
-by one of SPECIALS. Whatever the inputs, a run returns 0, 1 or 2; on 0 its
-stdout is strict JSON, and on 1 or 2 its stderr is one named line and no
-file exists at its fresh --out path.
+`cli.main` runs in process on the shipped configs, with the ECD bath's
+defaulted keys written out and one to three numeric leaves mutated, over all
+seven subcommands, with the numeric arguments drawn the same way. A mutated
+number is kept, scaled by 10^U(-8, 8), or replaced by one of SPECIALS.
+Whatever the inputs, a run returns 0, 1 or 2; on 0 its stdout is strict
+JSON, and on 1 or 2 its stderr is one named line and no file exists at its
+fresh --out path.
 """
 
 import contextlib
@@ -22,6 +23,10 @@ from tegkit.cli import main
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DESIGNS = ["bi2te3_annealed", "bi2te3_as_deposited", "cu_ni", "ecd_pulse_train"]
 SPECIALS = [0.0, -1.0, 5e-324, 1e-300, 1e-12, 1e12, 1e300, 1.7e308]
+# Bath keys the shipped config leaves at the standard bath's values; written
+# out, so that the fuzz mutates them too.
+BATH_DEFAULTS = {"molar_mass_g_mol": 800.76, "density_g_cm3": 7.7,
+                 "electrons_per_formula": 18}
 # The shipped plan's 25 s run; a longer one only costs the test time.
 TOTAL_TIME_CAP_S = 25.0
 # Sweep bounds in SI around each parameter's working range.
@@ -67,6 +72,9 @@ def runs(draw):
     else:
         names = [draw(st.sampled_from(DESIGNS))]
     docs = [json.loads((CONFIGS / f"{name}.json").read_text()) for name in names]
+    for doc in docs:
+        if "ecd" in doc:
+            doc["ecd"]["bath"] = {**BATH_DEFAULTS, **doc["ecd"]["bath"]}
     leaves = [(i, path) for i, doc in enumerate(docs) for path in numeric_leaves(doc)]
     for i, path in draw(st.lists(st.sampled_from(leaves), min_size=1, max_size=3,
                                  unique=True)):

@@ -412,13 +412,15 @@ class TestEvaluate:
         assert p2 == pytest.approx(k * k * p1, rel=1e-10)
 
     # (design, dt_meas, the quantity the error names); near the float range
-    # v_oc^2, dt_meas^2, the density or the heat flow overflow first
+    # v_oc^2, dt_meas^2, the density (in W/m2 or only in uW/cm2) or the
+    # heat flow overflow first
     OVERFLOWS = [
         (make_design(), 1e300, "p_matched"),
         (make_design(), 2e154, "dt_meas^2"),
         (make_design(), 1e155, "power_density"),
         (make_design(leg_length=1e-6, device_area=1e4, seebeck_leg=1e-200,
                      k_if=0.0), 1e300, "q_hot"),
+        (make_design(), 1.3e154, "power_density in uW/cm2"),
     ]
 
     @pytest.mark.parametrize("design, dt, name", OVERFLOWS)
@@ -435,6 +437,19 @@ class TestEvaluate:
             warnings.simplefilter("error")  # no OverflowError, no RuntimeWarning
             valid, _ = evaluate_columns(design, 40.0, "dt_meas",
                                         np.array([40.0, dt]))
+        assert valid.tolist() == [True, False]
+
+    def test_eff_factor_beyond_the_float_range_in_uw_cm2_is_refused(self):
+        # eff_factor is about 2.5e306 W/m2/K2 at any dt_meas: finite in SI,
+        # past the float range in uW/cm2/K2
+        design = make_design(leg_length=1e-311, k_if=0.0)
+        with pytest.raises(NumericalError,
+                           match=r"^eff_factor in uW/cm2/K2 = inf at dt_meas = 0\.001 K"):
+            evaluate(design, 1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            valid, _ = evaluate_columns(make_design(k_if=0.0), 1e-3, "leg_length",
+                                        np.array([200e-6, 1e-311]))
         assert valid.tolist() == [True, False]
 
     def test_columns_refuse_an_unknown_parameter(self):

@@ -114,6 +114,14 @@ class TestFaradayGrowth:
         with pytest.raises(ParameterError):
             faraday_growth_rate(-1.0, BATH)
 
+    @pytest.mark.parametrize("bath", [
+        BathSpec(molar_mass=1e197, density=1e-197),  # the quotient overflows
+        BathSpec(electrons_per_formula=5e-324, density=5e-324),  # n_e F rho is 0
+    ])
+    def test_rate_beyond_the_float_range_is_a_numerical_error(self, bath):
+        with pytest.raises(NumericalError, match="^growth rate = inf m/s is beyond"):
+            faraday_growth_rate(93.0, bath)
+
 
 class TestTimeToThickness:
     def test_reference_duration(self):
@@ -138,6 +146,10 @@ class TestTimeToThickness:
     def test_negative_target_rejected(self):
         with pytest.raises(ParameterError, match="^target must be >= 0$"):
             time_to_thickness(-1e-6, plan(), BATH)
+
+    def test_rate_beyond_the_float_range_is_not_zero_time(self):
+        with pytest.raises(NumericalError, match="^growth rate = inf m/s"):
+            time_to_thickness(300e-6, plan(), BathSpec(molar_mass=1e197, density=1e-197))
 
 
 SAND_C = 80.0
@@ -239,6 +251,13 @@ class TestDiffusionSimulation:
         # grid 301 over 300 um: dx = 1 um, bound = 0.5 dx^2 / D = 5e-4 s
         with pytest.raises(StabilityError):
             simulate_diffusion(300e-6, BATH, plan(), 301, 1e-3)
+
+    def test_thickness_beyond_the_float_range_is_a_numerical_error(self):
+        # 1.3e305 m per pulse step is finite; 2000 pulse steps are not
+        heavy = BathSpec(molar_mass=1e157, density=1e-154)
+        with pytest.raises(NumericalError,
+                           match=r"^thickness = inf m is beyond the float range \(2000 pulse"):
+            simulate_diffusion(300e-6, heavy, plan(total_time=50.0), 151, 1e-3)
 
     def test_zero_current_profile_is_bit_exact(self):
         quiet = plan(j_pulse=0.0, total_time=0.5)
