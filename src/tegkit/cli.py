@@ -25,8 +25,8 @@ from .output import (
     emit_curve,
     emit_deposit_series,
     operating_point_dict,
-    overwrite,
     report_text,
+    write_file,
 )
 
 
@@ -266,8 +266,7 @@ def main(argv=None) -> int:
         if write_csv:
             write_csv(args.out)
         elif args.out:
-            with overwrite(args.out) as handle:
-                handle.write(text)
+            write_file(args.out, [text.encode()])
         sys.stdout.write(text)
         return 0
     except NumericalError as exc:

@@ -329,7 +329,8 @@ def calibrate_seebeck(
 
     Closed form: alpha = sqrt(4 R_i A_dev target) / (N dt_gen). The design's
     own Seebeck values are ignored; geometry, resistivities, and interfaces
-    are taken as given. An N dt_gen that underflows to 0 raises NumericalError.
+    are taken as given. An N dt_gen that underflows to 0, or a coefficient
+    beyond the float range, raises NumericalError.
     """
     if not 0 < target_density < inf:
         raise ParameterError("target_density must be finite and > 0")
@@ -346,4 +347,8 @@ def calibrate_seebeck(
     if not n * dt_gen > 0:
         raise NumericalError(f"calibration: N dt_gen underflows to 0 (dt_gen = {dt_gen:g} "
                              "K); the couple coefficient is beyond the float range")
-    return sqrt(4 * r_i * design.device_area * target_density) / (n * dt_gen)
+    couple = sqrt(4 * r_i * design.device_area * target_density) / (n * dt_gen)
+    if not couple < inf:
+        raise NumericalError(f"calibration: couple coefficient = {couple:g} V/K is "
+                             "beyond the float range")
+    return couple

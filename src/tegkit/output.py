@@ -2,12 +2,13 @@
 
 All three CSV writers format numeric cells as `%.17g` so a reader recovers
 the exact binary values; emission is deterministic byte for byte.
-A sweep curve and a deposit series share one writer: each block of rows, in
-display units, fills one reused buffer of BLOCK_CELLS cells, which one
-vectorised kernel (`_csv_rows`) formats with the bytes of `%.17g`. A
+A sweep curve and a deposit series share one block generator: each block of
+rows, in display units, fills one reused buffer of BLOCK_CELLS cells, which
+one vectorised kernel (`_csv_rows`) formats with the bytes of `%.17g`. A
 comparison table keeps `%` for its few rows, so `compare` never loads numpy.
 
-Every file is written through `overwrite`: an existing file is overwritten
+Every file is UTF-8 bytes with "\n" line ends, written by `write_file` with
+one `os.write` per chunk and no file object: an existing file is overwritten
 in place and then cut to the new length, never truncated to 0 first, and
 ends up with the bytes a fresh write gives. On ext4 (default
 `auto_da_alloc`) the close of a file that was truncated to 0 and rewritten
@@ -18,10 +19,11 @@ write can leave new bytes followed by old ones; tegkit promises no crash
 consistency for its outputs, and no run that exits normally can tell.
 """
 
-import contextlib
 import csv
 import functools
+import io
 import json
+import math
 import os
 import stat
 from dataclasses import asdict
@@ -50,28 +52,29 @@ ECD_COLUMNS = ["t_s", "thickness_um", "surface_conc_mol_m3"]
 COMPARE_COLUMNS = ["design"] + [h for _, h, _ in _POINT_CELLS]
 
 
-@contextlib.contextmanager
-def overwrite(path: str | Path, mode: str = "w", **kwargs):
-    """`open(path, mode, **kwargs)` for writing, over an existing file in place.
+def write_file(path: str | Path, chunks) -> None:
+    """Write the bytes `chunks` to `path`, over an existing file in place.
 
     The file is opened without O_TRUNC (a new one gets mode 0o666 & ~umask,
     as with `open`) and, on every exit, success or exception, a regular file
-    is cut at the end of what was written. It keeps its inode, hard links
-    and permission bits; /dev/null, a FIFO or a tty is never cut.
+    is cut at the end of the last whole chunk written. It keeps its inode,
+    hard links and permission bits; /dev/null, a FIFO or a tty is never cut.
     """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), mode, **kwargs) as handle:
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    end = 0
+    try:
+        for chunk in chunks:
+            view = memoryview(chunk)
+            while view:  # a short write leaves the rest of the chunk
+                view = view[os.write(fd, view):]
+            end += len(chunk)
+    finally:
         try:
-            yield handle
+            info = os.fstat(fd)
+            if stat.S_ISREG(info.st_mode) and info.st_size > end:
+                os.ftruncate(fd, end)
         finally:
-            try:
-                handle.flush()
-            finally:
-                fd = handle.fileno()
-                info = os.fstat(fd)
-                if stat.S_ISREG(info.st_mode):
-                    end = os.lseek(fd, 0, os.SEEK_CUR)
-                    if info.st_size > end:
-                        os.ftruncate(fd, end)
+            os.close(fd)
 
 
 def emit_curve(curve: SweepCurve, path: str | Path) -> None:
@@ -79,47 +82,47 @@ def emit_curve(curve: SweepCurve, path: str | Path) -> None:
     led by the parameter's name (one of SWEEPABLE_PARAMETERS)."""
     if len(curve.values) == 0:
         raise ParameterError("cannot emit an empty curve")
-    _write_blocks(path, SWEEP_COLUMNS, [(curve.values, 1.0)] + [
+    write_file(path, _csv_blocks(SWEEP_COLUMNS, [(curve.values, 1.0)] + [
         (curve.column(field), divisor) for field, _, divisor in _POINT_CELLS
-    ], curve.parameter.encode())
+    ], curve.parameter.encode()))
 
 
 def emit_comparison(table: ComparisonTable, path: str | Path) -> None:
     """Write one row per design. Names are config file stems and may hold a
     separator or quote character, so csv.writer quotes them."""
-    with overwrite(path, newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(COMPARE_COLUMNS)
-        for name, op in table.rows:
-            writer.writerow([name] + ["%.17g" % (getattr(op, field) / divisor)
-                                      for field, _, divisor in _POINT_CELLS])
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(COMPARE_COLUMNS)
+    for name, op in table.rows:
+        writer.writerow([name] + ["%.17g" % (getattr(op, field) / divisor)
+                                  for field, _, divisor in _POINT_CELLS])
+    write_file(path, [text.getvalue().encode()])
 
 
 def emit_deposit_series(state: DepositState, path: str | Path) -> None:
     """Write the deposit time series as CSV, one row per recorded instant."""
-    _write_blocks(path, ECD_COLUMNS, [
+    write_file(path, _csv_blocks(ECD_COLUMNS, [
         (state.times, 1.0),
         (state.thickness_series, 1e-6),
         (state.surface_conc_series, 1.0),
-    ])
+    ]))
 
 
-def _write_blocks(path: str | Path, header: list[str], columns, lead: bytes = b""):
-    """Write `header` and the `_csv_rows` lines of `columns`, (float64 array,
-    divisor) pairs of one length, each array over its divisor. No cell holds
-    a quote or separator character, so these are csv.writer's bytes."""
+def _csv_blocks(header: list[str], columns, lead: bytes = b""):
+    """Yield `header`, then the `_csv_rows` lines of `columns` block by block,
+    (float64 array, divisor) pairs of one length, each array over its divisor.
+    No cell holds a quote or separator character: these are csv.writer's bytes."""
     import numpy as np
 
     n = len(columns[0][0])
     buffer = np.empty((BLOCK_CELLS // len(columns), len(columns)))
-    with overwrite(path, "wb") as handle:
-        handle.write((",".join(header) + "\n").encode())
-        for start in range(0, n, len(buffer)):
-            block = buffer[:n - start]  # C order, so `_csv_rows` views it flat
-            for i, (column, divisor) in enumerate(columns):
-                part = column[start:start + len(block)]
-                block[:, i] = part if divisor == 1 else part / divisor  # a copy costs less
-            handle.write(_csv_rows(block, lead))
+    yield (",".join(header) + "\n").encode()
+    for start in range(0, n, len(buffer)):
+        block = buffer[:n - start]  # C order, so `_csv_rows` views it flat
+        for i, (column, divisor) in enumerate(columns):
+            part = column[start:start + len(block)]
+            block[:, i] = part if divisor == 1 else part / divisor  # a copy costs less
+        yield _csv_rows(block, lead)
 
 
 #: Cells per block of a sweep curve or deposit series (219 curve rows, 512
@@ -311,10 +314,25 @@ def report_text(report: dict) -> str:
     """Canonical serialization; identical inputs give identical bytes.
 
     Strict JSON: a NaN or infinite number raises NumericalError (CLI exit 2)
-    instead of reaching the report as a bare NaN or Infinity token.
+    naming its key path, instead of reaching the report as a bare NaN or
+    Infinity token.
     """
     try:
         return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
-        raise NumericalError(f"report holds a non-finite number: {exc}") from exc
+        where = _non_finite(report, "")
+        raise NumericalError(f"report holds a non-finite number: {where or exc}") from exc
 
+
+def _non_finite(node, path: str) -> str | None:
+    """`path = value` of the first NaN or infinite float in `node`, in the
+    order of `json.dumps(sort_keys=True)`, or None."""
+    if isinstance(node, float):
+        return None if math.isfinite(node) else f"{path} = {node}"
+    items = (sorted(node.items()) if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, (list, tuple)) else ())
+    for key, value in items:
+        key = f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}" if path else key
+        if where := _non_finite(value, key):
+            return where
+    return None

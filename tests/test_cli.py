@@ -542,6 +542,17 @@ class TestOverflow:
         assert err.count("\n") == 1
         assert not out_path.exists()
 
+    def test_calibrate_coefficient_beyond_the_float_range_exits_2(self, capsys, tmp_path):
+        # sqrt(4 R_i A_dev target) / (N dt_gen) is about 6e435 V/K at dt_meas = 1e-290 K
+        out_path = tmp_path / "report.json"
+        code, out, err = run(capsys, "calibrate", "--config", ANNEALED, "--dt", "1e-290",
+                             "--target", "1e300", "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err == ("numerical failure: calibration: couple coefficient = inf V/K "
+                       "is beyond the float range\n")
+        assert not out_path.exists()
+
     def test_sweep_exits_2_and_writes_no_csv(self, capsys, recwarn, tmp_path):
         out_csv = tmp_path / "curve.csv"
         code, out, err = run(
@@ -557,11 +568,11 @@ class TestOverflow:
         assert not out_csv.exists()
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
-    # A value that overflows only in a display unit (uW/cm2, um/h), or a
-    # growth rate past the float range: main writes --out only once the
-    # report serialises, so no file is left behind. The design leads the
-    # message in compare, the point in sweep; each run's stderr names the
-    # quantity except the last, whose um/h rate only the report holds.
+    # A value that overflows only in a display unit (uW/cm2, um/h, uV/K) or
+    # in a ratio of the report, or a growth rate past the float range: main
+    # writes --out only once the report serialises, so no file is left
+    # behind. The design leads the message in compare, the point in sweep;
+    # a value that only the report holds is named by its key path.
     @pytest.mark.parametrize("argv, lead", [
         (["sweep", "--config", "{thin}", "--dt", "40", "--param", "dt_meas",
           "--from", "1e-3", "--to", "2e-3", "--points", "3"],
@@ -574,9 +585,17 @@ class TestOverflow:
           "--from", "2e-5", "--to", "3e-5", "--points", "3"],
          "leg_length = 2e-05: power_density in uW/cm2 = inf"),
         (["ecd", "simulate", "--config", "{heavy}"], "growth rate = inf m/s"),
-        (["ecd", "simulate", "--config", "{heavy2}"], "report holds a non-finite number"),
+        (["ecd", "simulate", "--config", "{heavy2}"],
+         "report holds a non-finite number: outputs.avg_growth_rate_um_h = inf"),
+        # the coefficient is 6e305 V/K, finite; in uV/K it is not
+        (["calibrate", "--config", ANNEALED, "--dt", "1e-160", "--target", "1e300"],
+         "report holds a non-finite number: outputs.couple_seebeck_uV_K = inf"),
+        # tau = 4.4e196 s over t_pulse = 1e-303 s
+        (["ecd", "sand-time", "--config", "{brief}"],
+         "report holds a non-finite number: outputs.margin = inf"),
     ], ids=["sweep-eff-factor", "eval-eff-factor", "compare-eff-factor",
-            "sweep-density", "simulate-growth-rate", "simulate-growth-rate-um-h"])
+            "sweep-density", "simulate-growth-rate", "simulate-growth-rate-um-h",
+            "calibrate-couple-uv-k", "sand-time-margin"])
     def test_display_unit_overflow_exits_2_and_writes_no_file(self, capsys, tmp_path,
                                                              argv, lead):
         thin = dict(leg_length_um=8e-307, interface_resistance_K_W=0,
@@ -590,6 +609,8 @@ class TestOverflow:
                 molar_mass_g_mol=1e200, density_g_cm3=1e-200)),
             ("heavy2", ECD, lambda doc: doc["ecd"]["bath"].update(
                 molar_mass_g_mol=1e155, density_g_cm3=1e-155)),
+            ("brief", ECD, lambda doc: (doc["ecd"]["pulse"].update(t_pulse_ms=1e-300),
+                                        doc["ecd"]["bath"].update(c_teo2_mol_m3=1e100))),
         ]:
             doc = json.loads(Path(source).read_text())
             update(doc)

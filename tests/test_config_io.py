@@ -32,7 +32,7 @@ from tegkit.config import (
     parse_config_dict,
     parse_design,
 )
-from tegkit.device import OperatingPoint
+from tegkit.device import OperatingPoint, evaluate
 from tegkit.ecd import BathSpec, DepositState, PulsePlan, simulate_diffusion
 from tegkit.errors import (
     ConfigFieldError,
@@ -42,7 +42,7 @@ from tegkit.errors import (
     ParameterError,
 )
 from tegkit.materials import lookup_material
-from tegkit.optimize import SweepCurve, compare_designs, sweep
+from tegkit.optimize import ComparisonTable, SweepCurve, compare_designs, sweep
 from tegkit.output import (
     BLOCK_CELLS,
     SWEEP_COLUMNS,
@@ -50,8 +50,8 @@ from tegkit.output import (
     emit_comparison,
     emit_curve,
     emit_deposit_series,
-    overwrite,
     report_text,
+    write_file,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -457,6 +457,28 @@ class TestComparisonEmission:
         with open(path, newline="") as fh:
             assert [row["design"] for row in csv.DictReader(fh)] == names
 
+    @given(st.lists(st.text(st.characters(blacklist_categories=("Cs",))
+                            | st.sampled_from(',"\r\n\u00e9\u03a9\U0001d538')),
+                    min_size=1, max_size=4))
+    def test_bytes_equal_csv_writer_on_a_utf8_text_file(self, tmp_path_factory, cuni,
+                                                        names):
+        # the oracle is csv.writer on a UTF-8 text file; each example
+        # overwrites the last one's table in place
+        op = evaluate(cuni, 40.0)
+        table = ComparisonTable(40.0, tuple((name, op) for name in names))
+        path = tmp_path_factory.getbasetemp() / "compare"
+        path.mkdir(exist_ok=True)
+        emit_comparison(table, path / "table.csv")
+        with open(path / "oracle.csv", "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(["design", "dt_gen_K", "v_oc_V", "r_internal_ohm",
+                             "p_matched_W", "p_density_uW_cm2", "eff_factor_uW_cm2_K2"])
+            for name in names:
+                writer.writerow([name] + ["%.17g" % x for x in (
+                    op.dt_gen, op.v_oc, op.r_internal, op.p_matched,
+                    op.power_density / UW_CM2_TO_W_M2, op.eff_factor / UW_CM2_TO_W_M2)])
+        assert (path / "table.csv").read_bytes() == (path / "oracle.csv").read_bytes()
+
 
 class TestReferenceStudy:
     # sha256 and size of the design-side CSVs of scripts/run_reference_study.py,
@@ -721,31 +743,48 @@ class TestOverwriteInPlace:
         write(tmp_path / "out")
         assert flags and not any(flag & os.O_TRUNC for flag in flags)
 
+    def test_short_writes_are_resumed(self, write, tmp_path, monkeypatch):
+        path = tmp_path / "out"
+        fresh = self.fresh_bytes(write, path)
+        os_write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: os_write(fd, data[:7]))
+        write(path)
+        assert path.read_bytes() == fresh
+
     def test_dev_null_is_a_target(self, write):
         write(os.devnull)
         assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
-    @pytest.mark.parametrize("mode", ["w", "wb"])
-    def test_an_exception_leaves_a_prefix_of_the_new_bytes(self, tmp_path, mode):
+    def test_an_exception_leaves_a_prefix_of_the_new_bytes(self, tmp_path):
         new = b"t_s,thickness_um\n" + b"0.5,1.25\n" * 400
         path = tmp_path / "old"
         path.write_bytes(b"#" * (3 * len(new)))
+
+        def interrupted():
+            yield new[: len(new) // 2]
+            raise RuntimeError("interrupted")
+
         with pytest.raises(RuntimeError):
-            with overwrite(path, mode) as handle:
-                part = new[: len(new) // 2]
-                handle.write(part.decode() if mode == "w" else part)
-                raise RuntimeError("interrupted")
+            write_file(path, interrupted())
         data = path.read_bytes()
         assert data and new.startswith(data)
 
     def test_an_unwritable_path_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
-            with overwrite(tmp_path / "no" / "such.csv"):
-                pass
+            write_file(tmp_path / "no" / "such.csv", [b"design\n"])
 
 
 class TestReportText:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_number_is_a_numerical_error(self, value):
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match=f"outputs.p_matched = {value}$"):
             report_text({"outputs": {"p_matched": value}})
+
+    def test_the_first_non_finite_number_in_key_order_is_named(self):
+        report = {"outputs": {"rows": {"b": [1.0, float("inf")], "a": [float("nan")]},
+                              "bracket_si": [2.0, float("-inf")]}}
+        with pytest.raises(NumericalError, match=r"outputs\.bracket_si\[1\] = -inf$"):
+            report_text(report)
+        del report["outputs"]["bracket_si"]
+        with pytest.raises(NumericalError, match=r"outputs\.rows\.a\[0\] = nan$"):
+            report_text(report)
