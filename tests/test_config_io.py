@@ -755,13 +755,21 @@ class TestOverwriteInPlace:
         write(os.devnull)
         assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
-    def test_an_exception_leaves_a_prefix_of_the_new_bytes(self, tmp_path):
+    # "w": one chunk encoded from text, as the report and comparison writers
+    # give; "wb": many bytearray chunks, as a block writer gives.
+    @pytest.mark.parametrize("mode", ["w", "wb"])
+    def test_an_exception_leaves_a_prefix_of_the_new_bytes(self, tmp_path, mode):
         new = b"t_s,thickness_um\n" + b"0.5,1.25\n" * 400
         path = tmp_path / "old"
         path.write_bytes(b"#" * (3 * len(new)))
+        part = new[: len(new) // 2]
 
         def interrupted():
-            yield new[: len(new) // 2]
+            if mode == "w":
+                yield part.decode().encode()
+            else:
+                for start in range(0, len(part), 100):
+                    yield bytearray(part[start:start + 100])
             raise RuntimeError("interrupted")
 
         with pytest.raises(RuntimeError):
