@@ -19,9 +19,7 @@ write can leave new bytes followed by old ones; tegkit promises no crash
 consistency for its outputs, and no run that exits normally can tell.
 """
 
-import csv
 import functools
-import io
 import json
 import math
 import os
@@ -50,6 +48,8 @@ SWEEP_COLUMNS = ["param_name", "param_value_si"] + [h for _, h, _ in _POINT_CELL
 ECD_COLUMNS = ["t_s", "thickness_um", "surface_conc_mol_m3"]
 
 COMPARE_COLUMNS = ["design"] + [h for _, h, _ in _POINT_CELLS]
+_COMPARE_ROW = ",%.17g" * len(_POINT_CELLS) + "\n"
+_QUOTED = frozenset(',"\r\n')  # a design name holding one of these is quoted
 
 
 def write_file(path: str | Path, chunks) -> None:
@@ -88,15 +88,15 @@ def emit_curve(curve: SweepCurve, path: str | Path) -> None:
 
 
 def emit_comparison(table: ComparisonTable, path: str | Path) -> None:
-    """Write one row per design. Names are config file stems and may hold a
-    separator or quote character, so csv.writer quotes them."""
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(COMPARE_COLUMNS)
+    r"""One row per design, one `%` per row. A name holding `,`, `"`, `\r` or `\n`
+    is quoted, inner `"` doubled; a non-UTF-8 config stem keeps its bytes."""
+    lines = [",".join(COMPARE_COLUMNS) + "\n"]
     for name, op in table.rows:
-        writer.writerow([name] + ["%.17g" % (getattr(op, field) / divisor)
-                                  for field, _, divisor in _POINT_CELLS])
-    write_file(path, [text.getvalue().encode()])
+        if not _QUOTED.isdisjoint(name):
+            name = '"%s"' % name.replace('"', '""')
+        cells = [getattr(op, field) / divisor for field, _, divisor in _POINT_CELLS]
+        lines.append(name + _COMPARE_ROW % tuple(cells))
+    write_file(path, ["".join(lines).encode("utf-8", "surrogateescape")])
 
 
 def emit_deposit_series(state: DepositState, path: str | Path) -> None:
@@ -111,7 +111,7 @@ def emit_deposit_series(state: DepositState, path: str | Path) -> None:
 def _csv_blocks(header: list[str], columns, lead: bytes = b""):
     """Yield `header`, then the `_csv_rows` lines of `columns` block by block,
     (float64 array, divisor) pairs of one length, each array over its divisor.
-    No cell holds a quote or separator character: these are csv.writer's bytes."""
+    No cell holds a quote, separator or line-end character, so none is quoted."""
     import numpy as np
 
     n = len(columns[0][0])

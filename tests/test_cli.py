@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -257,6 +258,19 @@ class TestCompare:
         assert out == ""
         assert err.startswith("error: design 'bi2te3_annealed' has zero power density")
         assert not out_csv.exists()
+
+    def test_a_stem_that_is_not_utf8_keeps_its_bytes(self, capsys, tmp_path):
+        # the file name's byte 0xff reaches Python as a surrogate escape
+        bad = tmp_path / os.fsdecode(b"bad\xff.json")
+        shutil.copy(CUNI, bad)
+        tables = []
+        for config in (CUNI, str(bad)):
+            out_csv = tmp_path / "table.csv"
+            code, _, err = run(capsys, "compare", "--config", config, "--config",
+                               ANNEALED, "--dt", "40", "--out", str(out_csv))
+            assert (code, err) == (0, "")
+            tables.append(out_csv.read_bytes())
+        assert tables[1] == tables[0].replace(b"\ncu_ni,", b"\nbad\xff,")
 
     def test_duplicate_names_rejected(self, capsys):
         code, _, _ = run(

@@ -1,8 +1,10 @@
-"""Which commands load numpy.
+"""Which commands load numpy, and that none loads csv.
 
 The scalar model is plain `math`; only `sweep` and `ecd simulate` build
-arrays. Each case runs one command in a fresh interpreter and reports
-whether numpy ended up in `sys.modules`. Module presence only, no timing.
+arrays. Every CSV is formatted by `tegkit.output` itself, so no command
+loads the `csv` module. Each case runs one command in a fresh interpreter
+and reports whether numpy and csv ended up in `sys.modules`. Module
+presence only, no timing.
 """
 
 import json
@@ -20,8 +22,8 @@ CUNI = str(CONFIGS / "cu_ni.json")
 ECD = str(CONFIGS / "ecd_pulse_train.json")
 
 # Runs tegkit.cli.main on argv (or only imports tegkit when argv is empty)
-# and prints the exit code and whether numpy was loaded as the last line of
-# stderr.
+# and prints the exit code and whether numpy and csv were loaded as the last
+# line of stderr.
 PROBE = """
 import io, json, sys
 from contextlib import redirect_stdout
@@ -33,7 +35,8 @@ if argv:
         code = main(argv)
 else:
     import tegkit
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}), file=sys.stderr)
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
+                  "csv": "csv" in sys.modules}), file=sys.stderr)
 """
 
 
@@ -57,7 +60,7 @@ def probe(*argv):
     ["optimize", "--config", ANNEALED, "--dt", "40",
      "--from", "1e-5", "--to", "1e-3"],
     ["compare", "--config", CUNI, "--config", ANNEALED, "--dt", "40"],
-    # the comparison CSV keeps Python's % for its few rows
+    # the comparison CSV keeps Python's % for its few rows, and no csv.writer
     ["compare", "--config", CUNI, "--config", ANNEALED, "--dt", "40",
      "--out", "{tmp}/compare.csv"],
     ["calibrate", "--config", ANNEALED, "--dt", "40", "--target", "278.5"],
@@ -66,7 +69,8 @@ def probe(*argv):
         "sand-time"])
 def test_scalar_commands_run_without_numpy(argv, tmp_path):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
-    assert probe(*argv) == {"code": None if not argv else 0, "numpy": False}
+    assert probe(*argv) == {"code": None if not argv else 0, "numpy": False,
+                            "csv": False}
 
 
 def test_importing_the_writers_builds_no_formatter_table():
@@ -86,7 +90,7 @@ def test_a_malformed_config_is_rejected_without_numpy(tmp_path):
     bad = tmp_path / "unknown_key.json"
     bad.write_text(json.dumps(doc))
     assert probe("eval", "--config", str(bad), "--dt", "40") == {
-        "code": 1, "numpy": False}
+        "code": 1, "numpy": False, "csv": False}
 
 
 def test_a_run_too_long_to_simulate_is_refused_without_numpy(tmp_path):
@@ -99,14 +103,15 @@ def test_a_run_too_long_to_simulate_is_refused_without_numpy(tmp_path):
         bad = tmp_path / "long_run.json"
         bad.write_text(json.dumps(doc))
         assert probe("ecd", "simulate", "--config", str(bad), "--out",
-                     str(tmp_path / "out.csv")) == {"code": 1, "numpy": False}
+                     str(tmp_path / "out.csv")) == {
+            "code": 1, "numpy": False, "csv": False}
 
 
 def test_a_rejected_sweep_argument_needs_no_numpy(tmp_path):
     assert probe("sweep", "--config", ANNEALED, "--dt", "40", "--param",
                  "leg_length", "--from", "1e-5", "--to", "1e-3", "--points",
                  "1", "--out", str(tmp_path / "out.csv")) == {
-        "code": 1, "numpy": False}
+        "code": 1, "numpy": False, "csv": False}
 
 
 @pytest.mark.parametrize("argv", [
@@ -115,6 +120,6 @@ def test_a_rejected_sweep_argument_needs_no_numpy(tmp_path):
     ["ecd", "simulate", "--config", ECD],
 ], ids=["sweep", "ecd-simulate"])
 def test_array_commands_load_numpy(argv, tmp_path):
-    # the probe can see numpy when it is there
+    # the probe can see numpy when it is there; numpy loads no csv either
     assert probe(*argv, "--out", str(tmp_path / "out.csv")) == {
-        "code": 0, "numpy": True}
+        "code": 0, "numpy": True, "csv": False}
