@@ -30,6 +30,7 @@ from tegkit.errors import (
     ParameterError,
 )
 from tegkit.materials import MaterialProps, lookup_material
+from tegkit.optimize import sweep
 from tegkit.presets import with_couple_seebeck
 
 SU8 = lookup_material("su8")
@@ -180,6 +181,111 @@ class TestDomainGuards:
         with pytest.raises(error) as err:
             function(*args)
         assert (type(err.value), str(err.value)) == (error, message)
+
+
+def insulated(design, lam):
+    """design in a matrix of thermal conductivity lam."""
+    return dataclasses.replace(
+        design, matrix_material=MaterialProps("m", 0.0, 1e10, lam, "insulator"))
+
+
+class TestGuardOrder:
+    """A point that fails several guards is refused by the first of them.
+
+    One case per guard, in the order `evaluate` checks them; in each, the
+    named guard is the first to fail, and the comment names the later ones
+    that fail too. Scalar `evaluate` (`GeneratorDesign` for the four design
+    fields) and a sweep's refused point name the same error, and the
+    kernel marks the point invalid without a warning.
+    """
+
+    OVERFLOW = " at dt_meas = {} K: the model overflows the float range"
+    # (design, dt_meas, swept parameter, failing value, a value past it or
+    # valid, error, message)
+    CASES = [
+        # also r_gen < 0 and r_internal < 0
+        (make_design(), 40.0, "leg_length", -1e-4, 1e-4,
+         InvariantError, "leg_length must be finite and > 0"),
+        # also no conduction (lambda < 0) and N < 1
+        (make_design(), 40.0, "fill_factor", -0.5, 0.2,
+         InvariantError, "fill_factor must be in (0, 1]"),
+        # also r_internal < 0
+        (make_design(), 40.0, "contact_resistivity", -1.0, 0.0,
+         InvariantError, "contact_resistivity must be finite and >= 0"),
+        # also v_oc^2 and dt_meas^2 overflow
+        (make_design(), 1e300, "interface_resistance", -4.0, 5.0,
+         InvariantError, "interface_resistance must be finite and >= 0"),
+        # also no conduction: A_dev lambda = 1e-300 * 1e-30 underflows to 0
+        (insulated(make_design(lam=1e-30, device_area=1e-300, leg_area=1e-302),
+                   1e-30), 40.0, "dt_meas", -1.0, 40.0,
+         ParameterError, "dt_meas must be finite and >= 0"),
+        # also N = 0.01 < 1
+        (insulated(make_design(lam=1e-30, device_area=1e-300, leg_area=1e-299),
+                   1e-30), 40.0, "leg_length", 1e-4, 2e-4,
+         DegenerateDesignError, "no thermal conduction path through device"),
+        # L / (A_dev lambda) underflows to 0; so does r_internal
+        (make_design(leg_length=1e-320, device_area=1e10), 40.0, "leg_length",
+         1e-320, 1e-4, DegenerateDesignError, "r_gen must be > 0"),
+        # also v_oc^2 and dt_meas^2 overflow
+        (make_design(fill_factor=1e-7), 1e300, "fill_factor", 1e-7, 0.2,
+         DegenerateDesignError,
+         "couple count N = 0.0005 < 1; not a realizable device"),
+        # (rho_p + rho_n) L underflows to 0; also dt_meas^2 overflows
+        (make_design(rho=1e-200, leg_length=1e-130), 1e200, "contact_resistivity",
+         0.0, 1e-9, ParameterError, "r_internal must be > 0"),
+        # also dt_meas^2 and the density overflow
+        (make_design(), 40.0, "dt_meas", 1e300, 1.0, NumericalError,
+         "p_matched overflows: a term is beyond the float range "
+         "(v_oc = 1.0543e+299 V, r_internal = 800 ohm)"),
+        # also q_hot and dt_meas^2 overflow
+        (make_design(leg_length=1e-6, device_area=1e4, seebeck_leg=1e-200,
+                     k_if=0.0), 1e300, "contact_resistivity", 1e300, 2e300,
+         NumericalError, "r_internal = inf" + OVERFLOW.format("1e+300")),
+        # also dt_meas^2 overflows
+        (make_design(), 40.0, "dt_meas", 1e155, 1.0, NumericalError,
+         "power_density = inf" + OVERFLOW.format("1e+155")),
+        # also dt_meas^2 overflows
+        (make_design(leg_length=1e-6, device_area=1e4, seebeck_leg=1e-200,
+                     k_if=0.0), 40.0, "dt_meas", 1e300, 1.0,
+         NumericalError, "q_hot = inf" + OVERFLOW.format("1e+300")),
+        # also the density overflows in uW/cm2
+        (make_design(), 40.0, "dt_meas", 2e154, 1.0, NumericalError,
+         "dt_meas^2 = inf" + OVERFLOW.format("2e+154")),
+        # density 2.5e8 W/m2 over dt_meas^2 = 1e-300; also in uW/cm2/K2
+        (make_design(leg_length=1e-313, k_if=0.0), 1e-150, "leg_length", 1e-313,
+         1e-4, NumericalError, "eff_factor = inf" + OVERFLOW.format("1e-150")),
+        # about 2.5e306 W/m2 and W/m2/K2: both overflow in uW/cm2
+        (insulated(make_design(leg_length=1e-311, k_if=0.0, lam=1e-10), 1e-10),
+         1.0, "leg_length", 1e-311, 1e-4, NumericalError,
+         "power_density in uW/cm2 = inf" + OVERFLOW.format("1")),
+        (make_design(leg_length=1e-311, k_if=0.0), 1e-3, "leg_length", 1e-311,
+         1e-4, NumericalError,
+         "eff_factor in uW/cm2/K2 = inf" + OVERFLOW.format("0.001")),
+    ]
+
+    @pytest.mark.parametrize("design, dt, parameter, value, other, error, message",
+                             CASES, ids=[
+        "leg_length", "fill_factor", "contact_resistivity", "interface_resistance",
+        "dt_meas", "conduction", "r_gen", "couples", "r_internal-zero", "p_matched",
+        "r_internal-inf", "power_density", "q_hot", "dt_meas-squared", "eff_factor",
+        "power_density-uw", "eff_factor-uw"])
+    def test_the_first_failing_guard_names_the_error(
+        self, design, dt, parameter, value, other, error, message
+    ):
+        with pytest.raises(error) as err:
+            if parameter == "dt_meas":
+                evaluate(design, value)
+            else:
+                evaluate(dataclasses.replace(design, **{parameter: value}), dt)
+        assert (type(err.value), str(err.value)) == (error, message)
+        with pytest.raises(error) as err:
+            sweep(design, dt, parameter, *sorted((value, other)), 2)
+        assert (type(err.value), str(err.value)) == (
+            error, f"{parameter} = {value:g}: {message}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no OverflowError, no RuntimeWarning
+            valid, _ = evaluate_columns(design, dt, parameter, np.array([value]))
+        assert valid.tolist() == [False]
 
 
 class TestThermalDivider:
