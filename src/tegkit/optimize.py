@@ -7,7 +7,9 @@ float is built between the kernel and the CSV; `SweepCurve.points` converts
 the columns to Python floats on each access. The leg-length optimum is
 closed form (see `optimize_leg_length`), with no search. Comparisons and
 the optimum evaluate one to a few points, so they call scalar `evaluate`,
-which costs less than an array pass there.
+which costs less than an array pass there. Both paths run the device
+model's one body and one guard table, so they agree bit for bit and refuse
+the same points with the same first reason.
 Only `sweep` builds arrays, so only `sweep` imports numpy, once its
 arguments are accepted.
 """
@@ -163,8 +165,9 @@ def sweep(
     else:
         values = np.linspace(lo, hi, n_points)
     valid, columns = evaluate_columns(design, dt_meas, parameter, values)
-    # The scalar path raises at the first point the model rejects, with the
-    # error and message that point has always produced, led by the point.
+    # valid ANDs the guard rows that scalar `evaluate` raises from, so the
+    # first refused point, re-run there, raises its first failing row's
+    # error and message, led by the point.
     for v in values[~valid].tolist():
         try:
             _evaluate_at(design, dt_meas, parameter, v)
