@@ -36,6 +36,17 @@ def digest(data: bytes):
     return hashlib.sha256(data).hexdigest(), len(data)
 
 
+def mold_fill(tmp_path, **pulse):
+    """The shipped plan's 15 h mold fill, 10 800 periods of 5 s recorded every
+    5000 steps, with the given pulse fields changed."""
+    doc = json.loads(Path(ECD).read_text())
+    doc["ecd"]["pulse"].update(total_time_s=54_000, **pulse)
+    doc["ecd"]["sim"]["record_every"] = 5000
+    cfg = tmp_path / "fill.json"
+    cfg.write_text(json.dumps(doc))
+    return str(cfg)
+
+
 class TestEval:
     def test_reproduces_the_reference_density(self, capsys):
         code, out, _ = run(capsys, "eval", "--config", ANNEALED, "--dt", "40")
@@ -140,6 +151,35 @@ class TestCapturedBytes:
             assert digest(Path(argv[-1]).read_bytes()) == artifact, argv[0]
 
 
+class TestCellsRoundTrip:
+    """Every numeric cell is its own "%.17g": 17 digits round-trip a double,
+    so this checks the cell writer with no stored reference."""
+
+    SWEEP = ["sweep", "--config", ANNEALED, "--dt", "40", "--param"]
+
+    @pytest.mark.parametrize("argv, rows", [
+        (SWEEP + ["contact_resistivity", "--from", "1e-12", "--to", "1e-8",
+                  "--points", "3000", "--log"], 3000),
+        # the integers 1 to 64: cells whose last 4 of 17 digits are 0000
+        (SWEEP + ["dt_meas", "--from", "1", "--to", "64", "--points", "64"], 64),
+        (SWEEP + ["fill_factor", "--from", "0.01", "--to", "1", "--points", "3000"],
+         3000),
+        (["ecd", "simulate", "--config", "{fill}"], 10_801),
+    ], ids=["log-contact-resistivity", "dt-meas", "fill-factor", "mold-fill"])
+    def test_every_numeric_cell_is_its_own_17g(self, capsys, tmp_path, argv, rows):
+        fill = mold_fill(tmp_path)
+        out_csv = tmp_path / "out.csv"
+        code, _, err = run(capsys, *[a.format(fill=fill) for a in argv],
+                           "--out", str(out_csv))
+        assert (code, err) == (0, "")
+        lines = out_csv.read_text().splitlines()[1:]
+        if argv[0] == "sweep":  # the first column names the swept parameter
+            lines = [line.split(",", 1)[1] for line in lines]
+        bad = [c for line in lines for c in line.split(",") if "%.17g" % float(c) != c]
+        assert len(lines) == rows
+        assert bad == []
+
+
 class TestSweep:
     def test_leg_length_sweep_peaks_in_the_optimal_window(self, capsys, tmp_path):
         out_csv = tmp_path / "curve.csv"
@@ -198,6 +238,20 @@ class TestSweep:
         assert out == ""
         assert err == f"error: n_points must be <= 1000000, got {points}\n"
         assert not out_csv.exists()
+
+    def test_a_sweep_at_the_limit_writes_every_row(self, capsys, tmp_path):
+        # 10^6 points, a 150 MB CSV, removed once its lines are counted
+        out_csv = tmp_path / "curve.csv"
+        code, _, err = run(
+            capsys, "sweep", "--config", ANNEALED, "--dt", "40",
+            "--param", "leg_length", "--from", "1e-5", "--to", "1e-3",
+            "--points", "1000000", "--out", str(out_csv),
+        )
+        assert (code, err) == (0, "")
+        with open(out_csv, "rb") as fh:
+            lines = sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 20), b""))
+        out_csv.unlink()
+        assert lines == 1_000_001
 
 
 class TestOptimize:
@@ -325,6 +379,19 @@ class TestEcdCommands:
                            "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert "deplet" in err
+
+    def test_a_depleting_mold_fill_exits_2_naming_the_time(self, capsys, tmp_path):
+        # ecd sand-time passes 550 mA/cm2 with a margin of 2.5, but the
+        # pauses do not relax the layer fully
+        out_csv = tmp_path / "fill.csv"
+        code, out, err = run(capsys, "ecd", "simulate", "--config",
+                             mold_fill(tmp_path, j_pulse_mA_cm2=550),
+                             "--out", str(out_csv))
+        assert code == 2
+        assert out == ""
+        assert "depleted at t = 125.2 s" in err
+        assert err.count("\n") == 1
+        assert not out_csv.exists()
 
     @pytest.mark.parametrize("section, key, value, field", [
         ("pulse", "t_pulse_ms", 200.5, "t_pulse"),

@@ -324,6 +324,12 @@ class TestErrorMessages:
         no_bath = copy.deepcopy(ECD_DOC)
         del no_bath["ecd"]["bath"]
         assert parse_config_dict(no_bath).bath == BathSpec()
+        # the shipped plan's bath restates the standard one, so leaving it out
+        # changes nothing
+        shipped = json.loads((REPO / "configs" / "ecd_pulse_train.json").read_text())
+        parsed = parse_config_dict(shipped)
+        del shipped["ecd"]["bath"]
+        assert parse_config_dict(shipped) == parsed
 
 
 class TestUnitConversions:
