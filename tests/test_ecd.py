@@ -208,6 +208,18 @@ class TestStoichiometryMap:
         assert stoichiometry_from_bath(20.0).te_to_bi == pytest.approx(2.1)
         assert stoichiometry_from_bath(40.0).te_to_bi == pytest.approx(1.5)
 
+    def test_equals_numpy_interp(self):
+        # bit for bit on seeded points, the anchors and their neighbours
+        xs = [constants.BATH_C_BI2O3_MIN, constants.BATH_C_BI2O3,
+              constants.BATH_C_BI2O3_MAX]
+        fs = [constants.STOICH_TE_RICH, constants.STOICH_BALANCED,
+              constants.STOICH_BI_RICH]
+        near = np.nextafter(np.repeat(xs, 2), [-np.inf, np.inf] * 3)
+        c = np.concatenate([np.random.default_rng(7).uniform(xs[0], xs[-1], 100_000),
+                            xs, near[1:-1]])
+        got = [stoichiometry_from_bath(x).te_to_bi for x in c.tolist()]
+        assert np.array_equal(got, np.interp(c, xs, fs))
+
     def test_outside_the_window_is_an_extrapolation_error(self):
         with pytest.raises(ExtrapolationError):
             stoichiometry_from_bath(19.0)
